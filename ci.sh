@@ -261,4 +261,14 @@ grep -q '"kind": "fault", "device": 1' /tmp/ci_flight.jsonl || {
 }
 rm -f /tmp/ci_h.fa /tmp/ci_c.fa /tmp/ci_flight.jsonl
 
+# Benchmark smoke: the benchmark's own tests, then a 3 s megapair run,
+# which checks every score against an independent engine and, on seed 1,
+# against pinned forced-scalar results — the SIMD wavefront end to end.
+cargo test -q --manifest-path megabench/Cargo.toml
+bash megabench/run.sh --workload megapair --seed 1 --seconds 3 --trace 0 \
+    2>/dev/null | tail -n 1 | grep -q '"correct": true' || {
+    echo "ci: FAIL — megabench megapair smoke did not report correct: true" >&2
+    exit 1
+}
+
 echo "ci: all gates passed"

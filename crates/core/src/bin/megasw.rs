@@ -722,7 +722,7 @@ fn cmd_submit(mut args: ArgStream) -> Result<(), String> {
         if !cp.faults.is_empty() {
             return Err("batch jobs take --batch-fault PAIR@DEV:ROW, not --fault".into());
         }
-        let pairs: Vec<(String, String, String)> = if let Some(m) = manifest {
+        let pairs: Vec<(Arc<str>, String, String)> = if let Some(m) = manifest {
             if batch {
                 return Err("--manifest replaces the --batch FASTA paths".into());
             }

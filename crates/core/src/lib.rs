@@ -76,8 +76,6 @@ pub mod prelude {
     pub use megasw_gpusim::{catalog, ClockDrift, DeviceSpec, LinkSpec, Platform, SimTime};
     pub use megasw_multigpu::autotune::{autotune, TuneResult};
     pub use megasw_multigpu::baseline::{cpu_parallel, cpu_serial};
-    #[allow(deprecated)]
-    pub use megasw_multigpu::batch::PairOutcome;
     pub use megasw_multigpu::batch::{
         jobs_from_fasta_pair, jobs_from_manifest, BatchConfig, BatchFault, BatchJob, BatchPlan,
         BatchReport, BatchRun, BatchSim, BatchSimReport, BatchSpec,

@@ -47,11 +47,12 @@ use crate::checkpoint::RecoveryPolicy;
 use crate::config::RunConfig;
 use crate::desrun::DesSim;
 use crate::error::MegaswError;
-use crate::job::JobOutcome;
+use crate::job::{outcome_len, outcome_recoveries, JobOutcome};
 use crate::pipeline::{FaultSchedule, PipelineError, PipelineRun, ScheduledFault};
 use megasw_gpusim::Platform;
 use megasw_obs::{LiveTelemetry, MetricsRegistry};
 use megasw_seq::fasta::{read_fasta_path, read_single_fasta_path};
+use megasw_sw::BestCell;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::path::Path;
@@ -66,8 +67,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct BatchJob {
     /// Caller-facing identifier (FASTA record ids for manifest-loaded
-    /// batches).
-    pub id: String,
+    /// batches). Shared, not copied, with the pair's [`JobOutcome`].
+    pub id: Arc<str>,
     /// Query sequence, coded (see `megasw_seq::DnaSeq::codes`).
     pub a: Vec<u8>,
     /// Subject sequence, coded.
@@ -77,7 +78,7 @@ pub struct BatchJob {
 }
 
 impl BatchJob {
-    pub fn new(id: impl Into<String>, a: Vec<u8>, b: Vec<u8>) -> BatchJob {
+    pub fn new(id: impl Into<Arc<str>>, a: Vec<u8>, b: Vec<u8>) -> BatchJob {
         BatchJob {
             id: id.into(),
             a,
@@ -270,15 +271,6 @@ impl std::fmt::Display for BatchFault {
     }
 }
 
-/// Former name of the per-pair outcome record, now the workload-agnostic
-/// [`JobOutcome`] in [`crate::job`] shared by batch reports and the
-/// alignment service. The fields are unchanged — only the name moved.
-#[deprecated(
-    since = "0.9.0",
-    note = "renamed to multigpu::job::JobOutcome (same fields); this alias lasts one release"
-)]
-pub type PairOutcome = JobOutcome;
-
 /// Aggregate result of a batch run: per-pair outcomes in submission order
 /// plus throughput and latency accounting.
 #[derive(Debug, Clone)]
@@ -387,11 +379,22 @@ pub(crate) fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// How one pair finished; [`BatchRun::run`] turns these into
+/// [`JobOutcome`]s once every pair is done.
+#[derive(Debug, Clone, Copy)]
+struct PairDone {
+    best: BestCell,
+    /// The device that ran the pair whole; `None` for the slab route.
+    device: Option<u16>,
+    latency: Duration,
+    recoveries: u16,
+}
+
 /// Shared state the per-device workers drain.
 struct WorkQueue<'j> {
     jobs: &'j [BatchJob],
     queue: Mutex<VecDeque<usize>>,
-    outcomes: Mutex<Vec<Option<JobOutcome>>>,
+    outcomes: Mutex<Vec<Option<PairDone>>>,
     /// One flag per batch fault: a fault fires at most once, so a requeued
     /// pair does not die again on the next device.
     fired: Mutex<Vec<bool>>,
@@ -503,6 +506,16 @@ impl<'a> BatchRun<'a> {
                 "batch: platform has no devices".into(),
             )));
         }
+        // `JobOutcome` holds device indices in 16 bits, lengths in 32.
+        if self.platform.len() > usize::from(u16::MAX) {
+            return Err(MegaswError::Pipeline(PipelineError::InvalidConfig(
+                "batch: platform has more than 65535 devices".into(),
+            )));
+        }
+        for job in self.jobs {
+            outcome_len(job.a.len())?;
+            outcome_len(job.b.len())?;
+        }
         let plan = BatchPlan::build(self.jobs, &self.config);
         let total_cells: u128 = self.jobs.iter().map(BatchJob::cells).sum();
         if let Some(live) = &self.live {
@@ -511,7 +524,7 @@ impl<'a> BatchRun<'a> {
         let max_failures = self.recovery.map_or(0, |p| p.max_device_failures);
         let t0 = Instant::now();
 
-        let mut outcomes: Vec<Option<JobOutcome>> = vec![None; self.jobs.len()];
+        let mut outcomes: Vec<Option<PairDone>> = vec![None; self.jobs.len()];
         let mut blacklist = vec![false; self.platform.len()];
         let mut failures = 0usize;
         let mut recoveries_total = 0u64;
@@ -591,17 +604,14 @@ impl<'a> BatchRun<'a> {
                 }
                 live.on_pair_done();
             }
-            outcomes[idx] = Some(JobOutcome {
-                pair: idx,
-                id: job.id.clone(),
-                m: job.a.len(),
-                n: job.b.len(),
-                cells: job.cells(),
+            outcomes[idx] = Some(PairDone {
                 best: report.best,
                 device: None,
-                large: true,
                 latency: t.elapsed(),
-                recoveries: report.recovery.as_ref().map_or(0, |r| r.recoveries),
+                recoveries: report
+                    .recovery
+                    .as_ref()
+                    .map_or(0, |r| outcome_recoveries(r.recoveries)),
             });
         }
 
@@ -686,15 +696,11 @@ impl<'a> BatchRun<'a> {
                                     }
                                     let slot = &mut wq.outcomes.lock().unwrap()[idx];
                                     debug_assert!(slot.is_none(), "pair {idx} reported twice");
-                                    *slot = Some(JobOutcome {
-                                        pair: idx,
-                                        id: job.id.clone(),
-                                        m: job.a.len(),
-                                        n: job.b.len(),
-                                        cells: job.cells(),
+                                    *slot = Some(PairDone {
                                         best: report.best,
-                                        device: Some(d),
-                                        large: false,
+                                        device: Some(
+                                            u16::try_from(d).expect("checked platform size"),
+                                        ),
                                         latency: t.elapsed(),
                                         recoveries: 0,
                                     });
@@ -755,7 +761,28 @@ impl<'a> BatchRun<'a> {
                 block_row: missing,
             }));
         }
-        let pairs: Vec<JobOutcome> = outcomes.into_iter().map(Option::unwrap).collect();
+        // Both routes record only what they measured; the outcomes are
+        // built here, once, in submission order.
+        let pairs: Vec<JobOutcome> = outcomes
+            .iter()
+            .zip(self.jobs)
+            .enumerate()
+            .map(|(idx, (done, job))| {
+                let done = done.expect("every pair finished (checked above)");
+                JobOutcome {
+                    pair: idx,
+                    id: Arc::clone(&job.id),
+                    m: outcome_len(job.a.len()).expect("checked at the start of the run"),
+                    n: outcome_len(job.b.len()).expect("checked at the start of the run"),
+                    cells: job.cells(),
+                    best: done.best,
+                    device: done.device,
+                    large: done.device.is_none(),
+                    latency: done.latency,
+                    recoveries: done.recoveries,
+                }
+            })
+            .collect();
 
         let wall_time = t0.elapsed();
         let mut latencies: Vec<Duration> = pairs.iter().map(|p| p.latency).collect();

@@ -13,9 +13,7 @@
 //!   its own config/fault overrides. A future `SeedFilterExtend` variant
 //!   (seed-and-extend screening, ROADMAP item 3) is reserved here; it
 //!   will slot in without touching the queue or the HTTP surface.
-//! * [`JobOutcome`] — how one pair fared, regardless of route. This is
-//!   the former `batch::PairOutcome`, renamed and promoted (a deprecated
-//!   alias remains in `batch` for one release).
+//! * [`JobOutcome`] — how one pair fared, regardless of route.
 //! * [`JobReport`] — the common aggregate: outcomes, total cells, wall
 //!   time, throughput, recovery accounting and latency percentiles. A
 //!   single-pair report is simply a one-outcome aggregate, so
@@ -34,7 +32,7 @@ use crate::batch::{percentile, BatchConfig, BatchFault, BatchJob, BatchReport, B
 use crate::checkpoint::RecoveryPolicy;
 use crate::config::RunConfig;
 use crate::error::MegaswError;
-use crate::pipeline::{FaultSchedule, PipelineRun};
+use crate::pipeline::{FaultSchedule, PipelineError, PipelineRun};
 use crate::stats::RunReport;
 use megasw_gpusim::Platform;
 use megasw_obs::LiveTelemetry;
@@ -75,7 +73,7 @@ pub enum JobSpec {
     /// workload).
     SinglePair {
         /// Caller-facing identifier, echoed in the report.
-        id: String,
+        id: Arc<str>,
         /// Coded query sequence (see `megasw_seq::DnaSeq::codes`).
         a: Vec<u8>,
         /// Coded subject sequence.
@@ -100,7 +98,7 @@ pub enum JobSpec {
 
 impl JobSpec {
     /// A one-pair job with no overrides.
-    pub fn single(id: impl Into<String>, a: Vec<u8>, b: Vec<u8>) -> JobSpec {
+    pub fn single(id: impl Into<Arc<str>>, a: Vec<u8>, b: Vec<u8>) -> JobSpec {
         JobSpec::SinglePair {
             id: id.into(),
             a,
@@ -129,7 +127,7 @@ impl JobSpec {
     /// Display name: the pair id, or `batch(N)`.
     pub fn name(&self) -> String {
         match self {
-            JobSpec::SinglePair { id, .. } => id.clone(),
+            JobSpec::SinglePair { id, .. } => id.to_string(),
             JobSpec::Batch { jobs, .. } => format!("batch({})", jobs.len()),
         }
     }
@@ -171,6 +169,7 @@ impl JobSpec {
                 config,
                 faults,
             } => {
+                let (m, n) = (outcome_len(a.len())?, outcome_len(b.len())?);
                 let cfg = config.clone().unwrap_or_else(|| base.clone());
                 let mut run = PipelineRun::new(a, b, platform)
                     .config(cfg)
@@ -186,13 +185,7 @@ impl JobSpec {
                 }
                 let t = Instant::now();
                 let report = run.run()?;
-                Ok(JobReport::from_single(
-                    id,
-                    a.len(),
-                    b.len(),
-                    &report,
-                    t.elapsed(),
-                ))
+                Ok(JobReport::from_single(id, m, n, &report, t.elapsed()))
             }
             JobSpec::Batch {
                 jobs,
@@ -223,27 +216,49 @@ impl JobSpec {
 
 /// How one pair fared, whatever route executed it. For batch jobs this is
 /// the per-pair record (formerly `batch::PairOutcome`); a single-pair job
-/// reports exactly one.
+/// reports exactly one. A finished report lives as long as its holder
+/// keeps it, so the record is kept small (96 bytes) and building one
+/// allocates nothing: the id is shared with the submitted job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobOutcome {
     /// Index into the submitted pair list (0 for single-pair jobs).
     pub pair: usize,
-    pub id: String,
-    pub m: usize,
-    pub n: usize,
+    pub id: Arc<str>,
+    /// Pair side lengths. Both routes refuse a side beyond `u32::MAX`
+    /// before running it.
+    pub m: u32,
+    pub n: u32,
     pub cells: u128,
     /// Best cell — bit-identical to a solo
     /// [`PipelineRun`](crate::pipeline::PipelineRun) of this pair.
     pub best: BestCell,
     /// Device that ran the pair whole, or `None` for the full-platform
     /// slab-pipeline route.
-    pub device: Option<usize>,
+    pub device: Option<u16>,
     /// True when the pair routed through the full-platform pipeline.
     pub large: bool,
     pub latency: Duration,
     /// In-run checkpoint recoveries (full-platform routes only; dispatched
     /// small-pair device losses surface as batch-level requeues instead).
-    pub recoveries: u64,
+    /// At most one per device.
+    pub recoveries: u16,
+}
+
+/// A pair side as a [`JobOutcome`] length, or the error that refuses the
+/// pair before it runs.
+pub(crate) fn outcome_len(len: usize) -> Result<u32, MegaswError> {
+    u32::try_from(len).map_err(|_| {
+        MegaswError::Pipeline(PipelineError::InvalidConfig(format!(
+            "a pair side of {len} bases exceeds the {} supported",
+            u32::MAX
+        )))
+    })
+}
+
+/// A run's recovery count as a [`JobOutcome`] field. One recovery retires
+/// one device, so the count never approaches `u16::MAX`.
+pub(crate) fn outcome_recoveries(recoveries: u64) -> u16 {
+    u16::try_from(recoveries).unwrap_or(u16::MAX)
 }
 
 /// The common aggregate every finished job produces — single-pair and
@@ -282,16 +297,16 @@ impl JobReport {
     /// Adapt a single-pair `RunReport`. The one outcome's latency is the
     /// measured wall time, so all three percentiles collapse onto it.
     pub fn from_single(
-        id: &str,
-        m: usize,
-        n: usize,
+        id: &Arc<str>,
+        m: u32,
+        n: u32,
         report: &RunReport,
         latency: Duration,
     ) -> JobReport {
         let recovery = report.recovery.as_ref();
         let outcome = JobOutcome {
             pair: 0,
-            id: id.to_string(),
+            id: Arc::clone(id),
             m,
             n,
             cells: report.total_cells,
@@ -299,7 +314,7 @@ impl JobReport {
             device: None,
             large: true,
             latency,
-            recoveries: recovery.map_or(0, |r| r.recoveries),
+            recoveries: recovery.map_or(0, |r| outcome_recoveries(r.recoveries)),
         };
         JobReport {
             kind: JobKind::SinglePair,
@@ -424,6 +439,39 @@ mod tests {
                 .run()
                 .unwrap();
             assert_eq!(o.best, solo.best, "pair {i} diverged from its solo run");
+        }
+    }
+
+    #[test]
+    fn outcomes_are_compact() {
+        // A finished report is held for as long as its caller (or the
+        // resident service's job table) keeps it, so its per-pair cost is
+        // the outcome itself: the id is shared with the job, not copied.
+        assert!(
+            std::mem::size_of::<JobOutcome>() <= 96,
+            "JobOutcome grew to {} bytes",
+            std::mem::size_of::<JobOutcome>()
+        );
+        let jobs: Vec<BatchJob> = (0..3)
+            .map(|i| {
+                let (a, b) = seqs(30 + 5 * i, 40);
+                BatchJob::new(format!("pair{i}"), a, b)
+            })
+            .collect();
+        let report = JobSpec::batch(jobs.clone())
+            .execute(
+                &Platform::env1(),
+                &RunConfig::test_default(),
+                None,
+                None,
+                None,
+            )
+            .unwrap();
+        for (o, job) in report.outcomes.iter().zip(&jobs) {
+            assert!(Arc::ptr_eq(&o.id, &job.id), "pair {} copied its id", o.pair);
+            assert_eq!((o.m as usize, o.n as usize), (job.a.len(), job.b.len()));
+            assert_eq!(o.cells, job.cells());
+            assert_eq!(o.large, o.device.is_none());
         }
     }
 

@@ -55,8 +55,6 @@ pub mod service;
 pub mod stages;
 pub mod stats;
 
-#[allow(deprecated)]
-pub use batch::PairOutcome;
 pub use batch::{
     BatchConfig, BatchFault, BatchJob, BatchPlan, BatchReport, BatchRun, BatchSim, BatchSimReport,
     BatchSpec,
@@ -81,8 +79,6 @@ pub use stats::{
 
 /// The types most callers need: builders, reports, errors, observability.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::batch::PairOutcome;
     pub use crate::batch::{
         jobs_from_fasta_pair, jobs_from_manifest, BatchConfig, BatchFault, BatchJob, BatchPlan,
         BatchReport, BatchRun, BatchSim, BatchSimReport, BatchSpec,

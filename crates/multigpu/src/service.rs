@@ -868,7 +868,7 @@ fn submit_from_json(inner: &Arc<Inner>, body: &str) -> Result<u64, String> {
             None => FaultSchedule::default(),
         };
         JobSpec::SinglePair {
-            id,
+            id: id.into(),
             a,
             b,
             config,
@@ -1050,8 +1050,8 @@ mod tests {
             panic!("expected batch spec");
         };
         assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[0].id, "pair0");
-        assert_eq!(jobs[1].id, "q");
+        assert_eq!(&*jobs[0].id, "pair0");
+        assert_eq!(&*jobs[1].id, "q");
         assert_eq!(faults.len(), 1);
         drop(st);
 

@@ -367,6 +367,12 @@ mod tests {
                 );
             }
         });
+        // Start handshake: the reader may be scheduled long before the
+        // writer, so wait for the first publish. The ring never empties
+        // afterwards, so every scrape below has events to check.
+        while fr.events(0).is_empty() {
+            std::thread::yield_now();
+        }
         let mut seen = 0usize;
         for _ in 0..2_000 {
             for e in fr.events(0) {

@@ -14,7 +14,10 @@
 //! * **sse41** — anti-diagonal wavefront with 8 × i16 lanes (SSE4.1);
 //! * **avx2** — the same wavefront with 16 × i16 lanes (AVX2).
 //!
-//! The vector engines use saturating i16 arithmetic on **bias-rebased**
+//! The vector engines compute every cell of a tile in vector lanes — the
+//! ragged end of each anti-diagonal runs as one masked step, not as scalar
+//! code — except on tiles thinner than 12, which run the scalar engine.
+//! They use saturating i16 arithmetic on **bias-rebased**
 //! scores (every value is stored relative to the tile's corner, so absolute
 //! scores far beyond `i16::MAX` still vectorize) and fall back to the
 //! scalar i32 kernel whenever a tile's dynamic range could leave the safe

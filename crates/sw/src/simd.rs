@@ -18,6 +18,19 @@
 //!   tiles whose absolute scores are far beyond `i16::MAX` (megabase
 //!   alignments reach millions) still vectorize.
 //!
+//! **Masked tail.** Every cell runs in a vector lane. Diagonal `d` holds
+//! rows `klo ..= khi` (`khi = min(d − 1, bh)`); it takes full steps while
+//! more than `LANES` rows remain, then one last step whose lanes past
+//! `khi` are dead. The arrays carry `LANES` slots of padding so that step
+//! stays in bounds. Dead lanes are masked out of the diagonal max/min (so
+//! the best-cell search, which takes the first lane equal to the max,
+//! always lands on a live one), and what they store is never read: they
+//! write only slots `> khi(d)`, while diagonals `d+1` and `d+2` read slots
+//! of diagonal `d` up to `min(d, bh)` only. For `d > bh` that bound is
+//! `khi(d) = bh`; for `d ≤ bh` the one slot above `khi(d) = d − 1` is slot
+//! `d`, column 0, which the left border patches after the step
+//! (DESIGN.md §11 spells the argument out).
+//!
 //! **Overflow rescue.** i16 lanes hold a tile only if its dynamic range
 //! fits the safe band `±28_000`. A pre-scan bounds every incoming border
 //! value and adds a per-cell drift margin (`(bh + bw + 4) · step`, where
@@ -271,10 +284,9 @@ impl Engine for Sse41 {
     }
 }
 
-#[inline(always)]
-fn clamp16(v: i32) -> i16 {
-    v.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
-}
+/// Lane indices `0, 1, 2, …`, sized for the widest engine:
+/// `cmpgt(splat(n), iota)` sets exactly the first `n` lanes.
+const IOTA: [i16; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
 
 /// Compute one tile with the anti-diagonal wavefront, or return `None` when
 /// the i16 band cannot hold it (the caller re-runs the tile in scalar i32).
@@ -346,25 +358,36 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
         }
     };
 
-    let a16: Vec<i16> = input.a_rows.iter().map(|&c| i16::from(c)).collect();
+    // Every array below carries `lanes` slots of padding, so the last
+    // (masked) vector step of a diagonal stays in bounds: a step at row
+    // k ≤ khi ≤ bh touches state slots up to k + lanes − 1, `a16` slots up
+    // to k + lanes − 2 and `b_rev16` slots up to bw + k − d + lanes − 1,
+    // which is below bw + lanes because k < d.
+    let mut a16 = vec![0i16; bh + lanes];
+    for (x, &c) in input.a_rows.iter().enumerate() {
+        a16[x] = i16::from(c);
+    }
     // b reversed: the vector load for cells (k, d−k), k ascending, reads
     // b_rev16[bw + k − d ..] contiguously.
-    let mut b_rev16 = vec![0i16; bw];
+    let mut b_rev16 = vec![0i16; bw + lanes];
     for (x, &c) in input.b_cols.iter().enumerate() {
         b_rev16[bw - 1 - x] = i16::from(c);
     }
 
     // Rolling anti-diagonal state, indexed by tile row k (0 = border row):
     // H at diagonals d−2/d−1/d, E and F at d−1/d. Slots outside the valid
-    // range of a diagonal hold stale values that are provably never read.
-    let len = bh + 1;
-    let mut hp2 = vec![NEG_INF16; len];
-    let mut hp1 = vec![NEG_INF16; len];
-    let mut hc = vec![NEG_INF16; len];
-    let mut ep = vec![NEG_INF16; len];
-    let mut ec = vec![NEG_INF16; len];
-    let mut fp = vec![NEG_INF16; len];
-    let mut fc = vec![NEG_INF16; len];
+    // range of a diagonal hold stale or masked-lane values that are
+    // provably never read (module docs).
+    // One allocation holds all seven, each placed so that slot 1 is
+    // 32-byte aligned: while `klo = 1` every vector store of a diagonal is
+    // aligned (~8 % on 512² AVX2 tiles).
+    let stride = (bh + 1 + lanes).next_multiple_of(16);
+    let mut state = vec![NEG_INF16; 7 * stride + 15];
+    let skew = (state.as_ptr() as usize / 2 + 1).wrapping_neg() % 16;
+    let mut rows = state[skew..].chunks_exact_mut(stride);
+    let mut row = || rows.next().expect("the buffer holds seven rows");
+    let (mut hp2, mut hp1, mut hc) = (row(), row(), row());
+    let (mut ep, mut ec, mut fp, mut fc) = (row(), row(), row(), row());
 
     // Diagonals 0 and 1 are pure border cells.
     hp2[0] = reb_h(input.top.h[0]);
@@ -386,12 +409,12 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
     let v_four = E::splat(4);
     let v_floor = E::splat(floor16);
     let v_ninf = E::splat(NEG_INF16);
+    let v_top = E::splat(i16::MAX);
+    let v_iota = E::loadu(IOTA.as_ptr());
 
     // Band check accumulators over every computed (pre-store) H value.
     let mut v_maxall = v_ninf;
-    let mut v_minall = E::splat(i16::MAX);
-    let mut s_maxall: i32 = i32::from(NEG_INF16);
-    let mut s_minall: i32 = i32::from(i16::MAX);
+    let mut v_minall = v_top;
 
     // Outgoing borders, captured lane-exactly as diagonals sweep past the
     // tile's bottom row and right column (index 0 unused here; the corner
@@ -406,76 +429,60 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
     for d in 2..=(bh + bw) {
         let klo = if d > bw { d - bw } else { 1 };
         let khi = if d - 1 < bh { d - 1 } else { bh };
-        let span = khi - klo + 1;
-        let kend = klo + (span - span % lanes);
 
         let mut v_dmax = v_ninf;
-        let mut v_dmin = E::splat(i16::MAX);
-        let mut s_dmax: i32 = i32::from(NEG_INF16);
+        let mut v_dmin = v_top;
 
-        // Full-lane chunks. Every lane is a real cell — the ragged tail
-        // runs scalar below — so no masking is needed and the min/max
-        // accumulators never see garbage.
+        // One vector step at row `k`: computes lanes `k..k + lanes`,
+        // stores them and evaluates to their H.
+        macro_rules! step {
+            ($k:expr) => {{
+                let k = $k;
+                let hd = E::loadu(hp2.as_ptr().add(k - 1));
+                let hu = E::loadu(hp1.as_ptr().add(k - 1));
+                let hl = E::loadu(hp1.as_ptr().add(k));
+                let fv = E::max(
+                    E::subs(E::loadu(fp.as_ptr().add(k - 1)), v_ext),
+                    E::subs(hu, v_oe),
+                );
+                let ev = E::max(
+                    E::subs(E::loadu(ep.as_ptr().add(k)), v_ext),
+                    E::subs(hl, v_oe),
+                );
+                let va = E::loadu(a16.as_ptr().add(k - 1));
+                let vb = E::loadu(b_rev16.as_ptr().add(bw + k - d));
+                let mm = E::and(E::cmpeq(va, vb), E::cmpgt(v_four, va));
+                let sub = E::blendv(v_mis, v_match, mm);
+                let mut hv = E::adds(hd, sub);
+                hv = E::max(hv, ev);
+                hv = E::max(hv, fv);
+                if LOCAL {
+                    hv = E::max(hv, v_floor);
+                }
+                E::storeu(hc.as_mut_ptr().add(k), hv);
+                E::storeu(ec.as_mut_ptr().add(k), ev);
+                E::storeu(fc.as_mut_ptr().add(k), fv);
+                hv
+            }};
+        }
+        // Full steps while more than `lanes` cells remain, then one last
+        // step with 1..=lanes live lanes. Its lanes past `khi` compute
+        // garbage into slots no later diagonal reads (module docs); the
+        // mask keeps them out of the min/max accumulators.
         let mut k = klo;
-        while k < kend {
-            let hd = E::loadu(hp2.as_ptr().add(k - 1));
-            let hu = E::loadu(hp1.as_ptr().add(k - 1));
-            let hl = E::loadu(hp1.as_ptr().add(k));
-            let fv = E::max(
-                E::subs(E::loadu(fp.as_ptr().add(k - 1)), v_ext),
-                E::subs(hu, v_oe),
-            );
-            let ev = E::max(
-                E::subs(E::loadu(ep.as_ptr().add(k)), v_ext),
-                E::subs(hl, v_oe),
-            );
-            let va = E::loadu(a16.as_ptr().add(k - 1));
-            let vb = E::loadu(b_rev16.as_ptr().add(bw + k - d));
-            let mm = E::and(E::cmpeq(va, vb), E::cmpgt(v_four, va));
-            let sub = E::blendv(v_mis, v_match, mm);
-            let mut hv = E::adds(hd, sub);
-            hv = E::max(hv, ev);
-            hv = E::max(hv, fv);
-            if LOCAL {
-                hv = E::max(hv, v_floor);
-            }
-            E::storeu(hc.as_mut_ptr().add(k), hv);
-            E::storeu(ec.as_mut_ptr().add(k), ev);
-            E::storeu(fc.as_mut_ptr().add(k), fv);
+        while k + lanes <= khi {
+            let hv = step!(k);
             v_dmax = E::max(v_dmax, hv);
             v_dmin = E::min(v_dmin, hv);
             k += lanes;
         }
+        let hv = step!(k);
+        let live = E::cmpgt(E::splat((khi + 1 - k) as i16), v_iota);
+        v_dmax = E::max(v_dmax, E::blendv(v_ninf, hv, live));
+        v_dmin = E::min(v_dmin, E::blendv(v_top, hv, live));
         // Band accumulators merge once per diagonal, not per step.
         v_maxall = E::max(v_maxall, v_dmax);
         v_minall = E::min(v_minall, v_dmin);
-        // Scalar tail in i32, clamped at store: identical to the saturating
-        // lanes because real arms always stay in band and NEG_INF16-derived
-        // arms always lose the max (see module docs).
-        for k in kend..=khi {
-            let hd = i32::from(hp2[k - 1]);
-            let hu = i32::from(hp1[k - 1]);
-            let hl = i32::from(hp1[k]);
-            let f = (i32::from(fp[k - 1]) - ext).max(hu - open_ext);
-            let e = (i32::from(ep[k]) - ext).max(hl - open_ext);
-            let ca = a16[k - 1];
-            let cb = b_rev16[bw + k - d];
-            let sub = if ca == cb && ca < 4 {
-                scheme.match_score
-            } else {
-                scheme.mismatch_score
-            };
-            let mut h = (hd + sub).max(e).max(f);
-            if LOCAL && h < i32::from(floor16) {
-                h = i32::from(floor16);
-            }
-            s_dmax = s_dmax.max(h);
-            s_maxall = s_maxall.max(h);
-            s_minall = s_minall.min(h);
-            hc[k] = clamp16(h);
-            ec[k] = clamp16(e);
-            fc[k] = clamp16(f);
-        }
 
         // Border capture (before the patches below — patched slots are
         // border cells, never tile cells).
@@ -498,30 +505,23 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
         // diagonal). So instead of building a BestCell per cell — which
         // degenerates to scalar speed on homologous inputs, where the score
         // climbs on almost every diagonal — locate the first lane equal to
-        // the max with a vector compare.
-        //
-        // On a tile that ends up out of band, `dmax as i16` may not match
-        // any lane; the candidate (or the whole best) is garbage either
-        // way, because the band post-check below discards the tile.
-        let dmax = i64::from(s_dmax).max(i64::from(E::hmax(v_dmax)));
-        if dmax + bias >= i64::from(best.score.max(1)) {
-            let v_target = E::splat(dmax as i16);
-            let mut hit = None;
+        // the max with a vector compare. The max is a live lane's value and
+        // live lanes precede dead ones, so the first match is live.
+        let dmax = E::hmax(v_dmax);
+        if i64::from(dmax) + bias >= i64::from(best.score.max(1)) {
+            let v_target = E::splat(dmax);
             let mut k = klo;
-            while k < kend {
+            let m = loop {
                 let m = E::movemask(E::cmpeq(E::loadu(hc.as_ptr().add(k)), v_target));
-                if m != 0 {
-                    hit = Some(k + m.trailing_zeros() as usize / 2);
-                    break;
+                if m != 0 || k + lanes > khi {
+                    break m;
                 }
                 k += lanes;
-            }
-            if hit.is_none() {
-                hit = (kend..=khi).find(|&k| i64::from(hc[k]) == dmax);
-            }
-            if let Some(k) = hit {
+            };
+            if m != 0 {
+                let k = k + m.trailing_zeros() as usize / 2;
                 let cand = BestCell::new(
-                    (dmax + bias) as Score,
+                    (i64::from(dmax) + bias) as Score,
                     input.row_offset + k - 1,
                     input.col_offset + (d - k) - 1,
                 );
@@ -551,8 +551,8 @@ unsafe fn wave<E: Engine, const LOCAL: bool>(
     // Belt-and-braces band check: the pre-scan margin should make this
     // unreachable, but if any computed H touched the band edge the tile is
     // rescued rather than trusted.
-    let maxall = i64::from(s_maxall).max(i64::from(E::hmax(v_maxall)));
-    let minall = i64::from(s_minall).min(i64::from(E::hmin(v_minall)));
+    let maxall = i64::from(E::hmax(v_maxall));
+    let minall = i64::from(E::hmin(v_minall));
     if maxall > BAND || minall < -BAND {
         return None;
     }
@@ -623,78 +623,61 @@ unsafe fn wave_sse41<const LOCAL: bool>(
     wave::<Sse41, LOCAL>(input, scheme)
 }
 
-/// Below ~2 vectors per anti-diagonal the wavefront bookkeeping outweighs
-/// the lane win; such tiles run scalar without counting as rescues.
-const fn vector_min(lanes: usize) -> usize {
-    2 * lanes
+/// Tiles with a side below this run scalar without counting as rescues:
+/// there the wavefront's per-tile and per-diagonal bookkeeping outweighs
+/// the lane win. Measured, not derived — the timings are in DESIGN.md §11.
+const VECTOR_MIN: usize = 12;
+
+/// A vector engine: its two `#[target_feature]` wavefronts (anchored,
+/// local) behind the [`Kernel`] trait.
+pub(crate) struct SimdKernel {
+    id: KernelId,
+    wave: [WaveFn; 2],
+}
+
+type WaveFn = for<'a> unsafe fn(BlockInput<'a>, &ScoreScheme) -> Option<BlockOutput>;
+
+impl SimdKernel {
+    fn dispatch<const LOCAL: bool>(
+        &self,
+        input: BlockInput<'_>,
+        scheme: &ScoreScheme,
+    ) -> BlockOutput {
+        let (bh, bw) = (input.a_rows.len(), input.b_cols.len());
+        if bh.min(bw) >= VECTOR_MIN {
+            // SAFETY: this kernel is only handed out by `kernel::select`
+            // after a successful runtime check for its instruction set.
+            return match unsafe { (self.wave[usize::from(LOCAL)])(input, scheme) } {
+                Some(out) => out,
+                None => rescue_block::<LOCAL>(input, scheme),
+            };
+        }
+        compute_block_impl::<LOCAL>(input, scheme)
+    }
+}
+
+impl Kernel for SimdKernel {
+    fn id(&self) -> KernelId {
+        self.id
+    }
+    fn block(&self, input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
+        self.dispatch::<true>(input, scheme)
+    }
+    fn block_anchored(&self, input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
+        self.dispatch::<false>(input, scheme)
+    }
 }
 
 /// The AVX2 engine (16 × i16 lanes).
-pub(crate) struct Avx2Kernel {
-    _priv: (),
-}
-
-impl Avx2Kernel {
-    fn dispatch<const LOCAL: bool>(input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        let (bh, bw) = (input.a_rows.len(), input.b_cols.len());
-        if bh.min(bw) >= vector_min(Avx2::LANES) {
-            // SAFETY: this kernel is only handed out by `kernel::select`
-            // after a successful runtime AVX2 check.
-            return match unsafe { wave_avx2::<LOCAL>(input, scheme) } {
-                Some(out) => out,
-                None => rescue_block::<LOCAL>(input, scheme),
-            };
-        }
-        compute_block_impl::<LOCAL>(input, scheme)
-    }
-}
-
-impl Kernel for Avx2Kernel {
-    fn id(&self) -> KernelId {
-        KernelId::Avx2
-    }
-    fn block(&self, input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        Self::dispatch::<true>(input, scheme)
-    }
-    fn block_anchored(&self, input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        Self::dispatch::<false>(input, scheme)
-    }
-}
-
+static AVX2_KERNEL: SimdKernel = SimdKernel {
+    id: KernelId::Avx2,
+    wave: [wave_avx2::<false>, wave_avx2::<true>],
+};
 /// The SSE4.1 engine (8 × i16 lanes).
-pub(crate) struct Sse41Kernel {
-    _priv: (),
-}
-
-impl Sse41Kernel {
-    fn dispatch<const LOCAL: bool>(input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        let (bh, bw) = (input.a_rows.len(), input.b_cols.len());
-        if bh.min(bw) >= vector_min(Sse41::LANES) {
-            // SAFETY: this kernel is only handed out by `kernel::select`
-            // after a successful runtime SSE4.1 check.
-            return match unsafe { wave_sse41::<LOCAL>(input, scheme) } {
-                Some(out) => out,
-                None => rescue_block::<LOCAL>(input, scheme),
-            };
-        }
-        compute_block_impl::<LOCAL>(input, scheme)
-    }
-}
-
-impl Kernel for Sse41Kernel {
-    fn id(&self) -> KernelId {
-        KernelId::Sse41
-    }
-    fn block(&self, input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        Self::dispatch::<true>(input, scheme)
-    }
-    fn block_anchored(&self, input: BlockInput<'_>, scheme: &ScoreScheme) -> BlockOutput {
-        Self::dispatch::<false>(input, scheme)
-    }
-}
-
-static AVX2_KERNEL: Avx2Kernel = Avx2Kernel { _priv: () };
-static SSE41_KERNEL: Sse41Kernel = Sse41Kernel { _priv: () };
+static SSE41_KERNEL: SimdKernel = SimdKernel {
+    id: KernelId::Sse41,
+    wave: [wave_sse41::<false>, wave_sse41::<true>],
+};
 
 pub(crate) fn avx2_kernel() -> &'static dyn Kernel {
     &AVX2_KERNEL
@@ -786,73 +769,61 @@ mod tests {
         }
     }
 
+    /// Incoming borders of the bottom-right tile of a 2×2 split of
+    /// `a × b` at (`si`, `sj`), produced by the scalar kernel: genuinely
+    /// non-trivial borders, the exact situation the pipeline puts the
+    /// vector engines in.
+    fn composed_borders(
+        local: bool,
+        a: &[u8],
+        b: &[u8],
+        (si, sj): (usize, usize),
+        scheme: &ScoreScheme,
+    ) -> (RowBorder, ColBorder) {
+        let fresh = |w: usize, h: usize, col: usize, row: usize| {
+            if local {
+                (RowBorder::zero(w), ColBorder::zero(h))
+            } else {
+                (
+                    RowBorder::anchored(w, col, scheme),
+                    ColBorder::anchored(h, row, scheme),
+                )
+            }
+        };
+        let tile = |rows: &[u8], cols: &[u8], top: &RowBorder, left: &ColBorder, at| {
+            let (row_offset, col_offset) = at;
+            let input = BlockInput {
+                a_rows: rows,
+                b_cols: cols,
+                top,
+                left,
+                row_offset,
+                col_offset,
+            };
+            scalar_out(local, input, scheme)
+        };
+        let (top0, left0) = fresh(sj, si, 1, 1);
+        let t00 = tile(&a[..si], &b[..sj], &top0, &left0, (1, 1));
+        let (top01, _) = fresh(b.len() - sj, 0, sj + 1, 1);
+        let (_, left10) = fresh(0, a.len() - si, 1, si + 1);
+        let t01 = tile(&a[..si], &b[sj..], &top01, &t00.right, (1, sj + 1));
+        let t10 = tile(&a[si..], &b[..sj], &t00.bottom, &left10, (si + 1, 1));
+        (t01.bottom, t10.right)
+    }
+
     #[test]
     fn wave_matches_scalar_with_composed_borders() {
-        // The bottom-right tile of a 2×2 split sees genuinely non-trivial
-        // incoming borders (produced by the scalar kernel) — the exact
-        // situation the pipeline puts the vector engines in.
         let scheme = ScoreScheme::cudalign();
         let a = ChromosomeGenerator::new(GenerateConfig::sized(260, 0x51_01)).generate();
         let (b, _) = DivergenceModel::test_scale(0x51_02).apply(&a);
         let (si, sj) = (130usize, 120usize);
         for local in [true, false] {
-            let (top0, left0) = if local {
-                (RowBorder::zero(sj), ColBorder::zero(si))
-            } else {
-                (
-                    RowBorder::anchored(sj, 1, &scheme),
-                    ColBorder::anchored(si, 1, &scheme),
-                )
-            };
-            let t00 = scalar_out(
-                local,
-                BlockInput {
-                    a_rows: &a.codes()[..si],
-                    b_cols: &b.codes()[..sj],
-                    top: &top0,
-                    left: &left0,
-                    row_offset: 1,
-                    col_offset: 1,
-                },
-                &scheme,
-            );
-            let (top01, left10) = if local {
-                (RowBorder::zero(b.len() - sj), ColBorder::zero(a.len() - si))
-            } else {
-                (
-                    RowBorder::anchored(b.len() - sj, sj + 1, &scheme),
-                    ColBorder::anchored(a.len() - si, si + 1, &scheme),
-                )
-            };
-            let t01 = scalar_out(
-                local,
-                BlockInput {
-                    a_rows: &a.codes()[..si],
-                    b_cols: &b.codes()[sj..],
-                    top: &top01,
-                    left: &t00.right,
-                    row_offset: 1,
-                    col_offset: sj + 1,
-                },
-                &scheme,
-            );
-            let t10 = scalar_out(
-                local,
-                BlockInput {
-                    a_rows: &a.codes()[si..],
-                    b_cols: &b.codes()[..sj],
-                    top: &t00.bottom,
-                    left: &left10,
-                    row_offset: si + 1,
-                    col_offset: 1,
-                },
-                &scheme,
-            );
+            let (top, left) = composed_borders(local, a.codes(), b.codes(), (si, sj), &scheme);
             let t11_input = BlockInput {
                 a_rows: &a.codes()[si..],
                 b_cols: &b.codes()[sj..],
-                top: &t01.bottom,
-                left: &t10.right,
+                top: &top,
+                left: &left,
                 row_offset: si + 1,
                 col_offset: sj + 1,
             };
@@ -862,6 +833,149 @@ mod tests {
                     .unwrap_or_else(|| panic!("{name}: unexpected rescue"));
                 assert_eq!(got, want, "{name} local={local}");
             }
+        }
+    }
+
+    fn lanes_of(name: &str) -> usize {
+        match name {
+            "avx2" => Avx2::LANES,
+            _ => Sse41::LANES,
+        }
+    }
+
+    #[test]
+    fn masked_tail_matches_scalar_on_every_lane_residue() {
+        // Every residue of the tile height mod LANES, against widths both
+        // below and above it, so diagonals end in every possible partial
+        // vector step — in the growing, the full-height and the shrinking
+        // phase of the wavefront. N bases sit in the tail rows (the last
+        // rows of the tile, which the masked step covers on every long
+        // diagonal) and on the `b` side, so the masked lanes and the N
+        // remap both meet real cells.
+        for (name, _) in engines() {
+            let lanes = lanes_of(name);
+            for bh in 2 * lanes..=3 * lanes + 1 {
+                for bw in [2 * lanes + 3, bh, bh + 5, 4 * lanes + 1] {
+                    let (si, sj) = (9usize, 11usize);
+                    let seed = (bh * 131 + bw) as u64;
+                    let mut a = ChromosomeGenerator::new(GenerateConfig::sized(si + bh, seed))
+                        .generate()
+                        .codes()
+                        .to_vec();
+                    let mut b = ChromosomeGenerator::new(GenerateConfig::sized(sj + bw, seed + 1))
+                        .generate()
+                        .codes()
+                        .to_vec();
+                    // Homologous stretch so scores climb and ties occur.
+                    b[sj..sj + bw.min(bh) / 2].copy_from_slice(&a[si..si + bw.min(bh) / 2]);
+                    for x in [1, 2, lanes / 2, lanes - 1] {
+                        a[si + bh - x] = 4;
+                    }
+                    b[sj + bw / 3] = 4;
+                    b[sj + bw - 1] = 5;
+                    for scheme in [ScoreScheme::cudalign(), ScoreScheme::lenient()] {
+                        for local in [true, false] {
+                            let (top, left) = composed_borders(local, &a, &b, (si, sj), &scheme);
+                            let input = BlockInput {
+                                a_rows: &a[si..],
+                                b_cols: &b[sj..],
+                                top: &top,
+                                left: &left,
+                                row_offset: si + 1,
+                                col_offset: sj + 1,
+                            };
+                            let want = scalar_out(local, input, &scheme);
+                            let got = run_wave(name, local, input, &scheme)
+                                .unwrap_or_else(|| panic!("{name} {bh}x{bw}: unexpected rescue"));
+                            assert_eq!(got, want, "{name} {bh}x{bw} local={local} {scheme:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_max_in_a_tail_lane_is_found() {
+        // A 16-base match run ending at the tile's bottom row, column 16,
+        // over an unrelated background: its diagonal d = bh + 16 spans rows
+        // 1..=bh, and with bh = 3·LANES + 1 the bottom row is the only live
+        // lane of the masked step — the best cell lives there and nowhere
+        // else.
+        let scheme = ScoreScheme::cudalign();
+        for (name, _) in engines() {
+            let lanes = lanes_of(name);
+            let (bh, bw) = (3 * lanes + 1, 3 * lanes + 40);
+            let mut a = ChromosomeGenerator::new(GenerateConfig::sized(bh, 0x55_01))
+                .generate()
+                .codes()
+                .to_vec();
+            let b = ChromosomeGenerator::new(GenerateConfig::sized(bw, 0x55_02))
+                .generate()
+                .codes()
+                .to_vec();
+            a[bh - 16..].copy_from_slice(&b[..16]);
+            let (top, left) = (RowBorder::zero(bw), ColBorder::zero(bh));
+            let input = BlockInput {
+                a_rows: &a,
+                b_cols: &b,
+                top: &top,
+                left: &left,
+                row_offset: 1,
+                col_offset: 1,
+            };
+            let want = scalar_out(true, input, &scheme);
+            assert_eq!((want.best.i, want.best.j), (bh, 16), "{name}: test setup");
+            let got = run_wave(name, true, input, &scheme)
+                .unwrap_or_else(|| panic!("{name}: unexpected rescue"));
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
+    #[test]
+    fn dead_lanes_never_reach_the_diagonal_max() {
+        // Dead lanes compute real-looking values: on diagonal d = bh + l the
+        // first dead lane (row bh + 1) extends the bottom-row cell
+        // (bh, l − 2) diagonally against the zero padding of `a` (an `A`).
+        // Plant a 20-match run ending there (score 40) with an `A` at the
+        // column that lane reads, and a 22-cell run with one mismatch
+        // (score 41) ending on the same diagonal higher up. Unmasked, the
+        // dead lane's 42 would become the diagonal max, the search would
+        // find no live lane holding it, and the 41 would be lost. The runs
+        // are all-A and all-T on a C (`a`) / G (`b`) background, so no
+        // other alignment scores as high.
+        let scheme = ScoreScheme::lenient();
+        let (bh, bw, l) = (51usize, 90usize, 30usize);
+        let mut a = vec![1u8; bh];
+        let mut b = vec![2u8; bw];
+        for x in 0..20 {
+            a[bh - 20 + x] = 0;
+            b[l - 22 + x] = 0;
+        }
+        b[l - 2] = 0;
+        for x in 0..22 {
+            a[4 + x] = 3;
+            b[l + 3 + x] = if x == 11 { 0 } else { 3 };
+        }
+        let (top, left) = (RowBorder::zero(bw), ColBorder::zero(bh));
+        let input = BlockInput {
+            a_rows: &a,
+            b_cols: &b,
+            top: &top,
+            left: &left,
+            row_offset: 1,
+            col_offset: 1,
+        };
+        let want = scalar_out(true, input, &scheme);
+        assert_eq!(
+            (want.best.score, want.best.i, want.best.j),
+            (41, 26, l + 25),
+            "test setup"
+        );
+        for (name, _) in engines() {
+            let got = run_wave(name, true, input, &scheme)
+                .unwrap_or_else(|| panic!("{name}: unexpected rescue"));
+            assert_eq!(got, want, "{name}");
         }
     }
 

@@ -361,8 +361,8 @@ fn fasta_pair_loader_tolerates_real_world_edge_cases() {
 
     let jobs = jobs_from_fasta_pair(&a_path, &b_path).unwrap();
     assert_eq!(jobs.len(), 4);
-    assert_eq!(jobs[0].id, "r0|s0");
-    assert_eq!(jobs[1].id, "r1|s1");
+    assert_eq!(&*jobs[0].id, "r0|s0");
+    assert_eq!(&*jobs[1].id, "r1|s1");
     assert_eq!(jobs[0].a.len(), 12); // CRLF + lowercase decoded
     assert!(jobs[1].a.is_empty()); // empty record preserved as empty pair
     assert_eq!(jobs[2].a.len(), 8); // lowercase-only record
@@ -413,8 +413,8 @@ fn manifest_loader_resolves_paths_and_rejects_malformed_lines() {
 
     let jobs = jobs_from_manifest(&manifest).unwrap();
     assert_eq!(jobs.len(), 2);
-    assert_eq!(jobs[0].id, "p0a|p0b");
-    assert_eq!(jobs[1].id, "p1a|p1b");
+    assert_eq!(&*jobs[0].id, "p0a|p0b");
+    assert_eq!(&*jobs[1].id, "p1a|p1b");
     assert_eq!(jobs[0].b.len(), 8);
     assert_eq!(jobs[1].a.len(), 7);
 
