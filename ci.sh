@@ -203,6 +203,32 @@ trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
     echo "ci: FAIL — resident service never became scrapeable" >&2
     exit 1
 }
+# A 100 000-byte run of `[` is a client error: the JSON parser must answer
+# 400 instead of overflowing its stack, and the service must keep serving.
+nested=$(head -c 100000 /dev/zero | tr '\0' '[')
+exec 3<>/dev/tcp/127.0.0.1/9188
+printf 'POST /jobs HTTP/1.1\r\nHost: ci\r\nContent-Type: application/json\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s' \
+    "${#nested}" "$nested" >&3
+nested_status=$(head -n 1 <&3)
+exec 3<&- 3>&-
+case "$nested_status" in
+"HTTP/1.1 400"*) ;;
+*)
+    echo "ci: FAIL — nested-bracket body answered '$nested_status' (want 400)" >&2
+    exit 1
+    ;;
+esac
+exec 3<>/dev/tcp/127.0.0.1/9188
+printf 'GET /health HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' >&3
+health_status=$(head -n 1 <&3)
+exec 3<&- 3>&-
+case "$health_status" in
+"HTTP/1.1 200"*) ;;
+*)
+    echo "ci: FAIL — /health answered '$health_status' after the nested body" >&2
+    exit 1
+    ;;
+esac
 solo_score=$(./target/release/megasw compare /tmp/ci_sva.fa /tmp/ci_svb.fa \
     --env2 | awk '/^best score/{print $3}')
 svc_score=$(./target/release/megasw submit --addr 127.0.0.1:9188 \
@@ -243,6 +269,36 @@ wait "$SERVE_PID" 2>/dev/null || true
 trap - EXIT
 rm -f /tmp/ci_sva.fa /tmp/ci_svb.fa /tmp/ci_sba.fa /tmp/ci_sbb.fa \
     /tmp/ci_bh.fa /tmp/ci_bc.fa /tmp/ci_solo_scores.txt /tmp/ci_svc_scores.txt
+
+# Whole-run accounting smoke: a segmented run reports every segment, not
+# only the last, so the device cell fractions of a rebalanced compare
+# (threaded) and a rebalanced, drifting simulate (DES) sum to 1.
+cells_fraction_sum() {
+    awk '$1 == "device.cells_fraction" {
+        for (i = 2; i <= NF; i++) {
+            split($i, kv, "=")
+            if (kv[1] == "n") n = kv[2]
+            if (kv[1] == "mean") mean = kv[2]
+        }
+        printf "%.4f\n", n * mean
+    }'
+}
+./target/release/megasw generate --length 20000 --seed 29 \
+    --out-human /tmp/ci_ah.fa --out-chimp /tmp/ci_ac.fa >/dev/null
+for run in compare simulate; do
+    if [ "$run" = compare ]; then
+        sum=$(./target/release/megasw compare /tmp/ci_ah.fa /tmp/ci_ac.fa --env2 \
+            --rebalance on --checkpoint-rows 2 --metrics | cells_fraction_sum)
+    else
+        sum=$(./target/release/megasw simulate --m 200000 --n 200000 \
+            --rebalance on --drift 0:150:0.5 --metrics | cells_fraction_sum)
+    fi
+    awk -v s="$sum" 'BEGIN { exit !(s >= 0.995 && s <= 1.005) }' || {
+        echo "ci: FAIL — $run device cell fractions sum to '$sum' (want 1 ± 0.005)" >&2
+        exit 1
+    }
+done
+rm -f /tmp/ci_ah.fa /tmp/ci_ac.fa
 
 # Flight-recorder smoke: a faulted compare must leave a JSONL black box
 # with the fault event on the failed device's lane.

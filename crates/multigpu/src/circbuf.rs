@@ -154,6 +154,22 @@ pub struct RingStats {
     pub consumer_wait: Duration,
 }
 
+impl RingStats {
+    /// The statistics of two rings one producer fed in turn, as if they
+    /// were one ring.
+    pub(crate) fn merged(self, later: RingStats) -> RingStats {
+        RingStats {
+            pushed: self.pushed + later.pushed,
+            popped: self.popped + later.popped,
+            max_occupancy: self.max_occupancy.max(later.max_occupancy),
+            producer_blocks: self.producer_blocks + later.producer_blocks,
+            consumer_blocks: self.consumer_blocks + later.consumer_blocks,
+            producer_wait: self.producer_wait + later.producer_wait,
+            consumer_wait: self.consumer_wait + later.consumer_wait,
+        }
+    }
+}
+
 impl<T> CircularBuffer<T> {
     /// Create a ring with the given capacity (≥ 1).
     pub fn with_capacity(capacity: usize) -> CircularBuffer<T> {
@@ -310,6 +326,21 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// Poll a block counter until the spawned thread has blocked. `push`
+    /// and `pop` bump their counter under the lock they then wait on, so a
+    /// reading of 1 means the thread is parked on the condvar, however
+    /// late the scheduler started it.
+    fn wait_until_blocked(blocks: impl Fn() -> u64) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while blocks() == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "thread never blocked on the ring"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn fifo_order_preserved() {
         let ring = CircularBuffer::with_capacity(4);
@@ -362,8 +393,7 @@ mod tests {
             let ring = ring.clone();
             std::thread::spawn(move || ring.push(1).unwrap())
         };
-        // Give the producer time to block.
-        std::thread::sleep(Duration::from_millis(30));
+        wait_until_blocked(|| ring.stats().producer_blocks);
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.pop().unwrap(), Some(0));
         producer.join().unwrap();
@@ -382,7 +412,7 @@ mod tests {
             let ring = ring.clone();
             std::thread::spawn(move || ring.pop().unwrap())
         };
-        std::thread::sleep(Duration::from_millis(30));
+        wait_until_blocked(|| ring.stats().consumer_blocks);
         ring.push(7).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(7));
         let stats = ring.stats();

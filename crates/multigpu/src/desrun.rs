@@ -31,10 +31,10 @@
 
 use crate::checkpoint::RecoveryPolicy;
 use crate::config::{PartitionPolicy, PruneMode, RebalanceMode, RunConfig};
-use crate::partition::{make_slabs, make_slabs_excluding_with_weights, resplit_slabs, Slab};
+use crate::partition::{make_slabs, make_slabs_excluding_with_weights, rebalance, Slab};
 use crate::pipeline::{FaultPhase, FaultSchedule, PipelineError};
 use crate::stats::{
-    DeviceReport, PruningReport, RebalanceReport, RecoveryReport, RunReport, StallAttribution,
+    DeviceReport, DeviceTotals, PruningReport, RebalanceReport, RecoveryReport, RunReport,
 };
 use megasw_gpusim::{
     ClockDrift, KernelModel, Platform, ResourceId, Schedule, SimTime, SpanKind, TaskId,
@@ -69,13 +69,14 @@ pub struct DeviceLossEvent {
 /// verdict and the idle-time breakdown.
 pub struct DesRun {
     pub report: RunReport,
-    /// The final (surviving) attempt's schedule. Recovered runs rebuilt the
+    /// The final attempt's schedule. Segmented and recovered runs build a
     /// task graph per attempt; earlier attempts' schedules are folded into
     /// the time offset and are not retained.
     pub schedule: Schedule,
     /// Per-slab memory footprints, or the first device that does not fit.
     pub memory: Result<Vec<crate::memory::DeviceMemoryPlan>, crate::memory::MemoryError>,
-    /// Per-slab idle breakdown, in slab order (final attempt).
+    /// Per-device idle breakdown over the whole run, in final chain order
+    /// (the same values as the report's `DeviceReport::stall`).
     pub stalls: Vec<StallBreakdown>,
     /// Every injected device loss, in simulated-time order. Pair with
     /// [`megasw_gpusim::SpanKind::DeviceLoss`] when rendering Gantt charts.
@@ -239,24 +240,13 @@ impl<'a> DesSim<'a> {
             identity: self.identity,
             drifts: &self.drifts,
         };
-        if mode == Mode::FineGrain
-            && self.m > 0
-            && !slabs.is_empty()
-            && (!self.faults.is_empty() || self.recovery.is_some())
-        {
-            // Fault injection takes precedence: the fault/recovery mirror
-            // does not model rebalancing (the threaded backend covers that
-            // composition bit-exactly).
-            run_with_faults(&env, &slabs, &self.faults, self.recovery)
-        } else if mode == Mode::FineGrain
-            && self.m > 0
-            && !slabs.is_empty()
-            && self.config.policy.rebalance.is_enabled()
-        {
-            run_rebalanced(&env, &slabs)
+        // The bulk baseline ignores faults.
+        let faults = if self.bulk {
+            FaultSchedule::default()
         } else {
-            run_plain(&env, &slabs, mode, self.recovery)
-        }
+            self.faults
+        };
+        simulate(&env, slabs, mode, &faults, self.recovery)
     }
 }
 
@@ -464,6 +454,7 @@ struct TaskGraph {
     kernel_tasks: Vec<Vec<TaskId>>,
     transfer_tasks: Vec<Vec<TaskId>>,
     start_row: usize,
+    end_row: usize,
 }
 
 /// Build (and solve) the task graph for block-rows `start_row..end_row`
@@ -640,6 +631,7 @@ fn build_task_graph(
         kernel_tasks,
         transfer_tasks,
         start_row,
+        end_row,
     }
 }
 
@@ -649,18 +641,51 @@ fn drift_scale(env: &DesEnv<'_>, device: usize, r: usize) -> f64 {
     env.drifts.iter().map(|d| d.scale_at(device, r)).product()
 }
 
-/// The fault-free path (and the bulk baseline): one attempt, no offsets.
-fn run_plain(
+/// The one simulated driver — the DES twin of
+/// [`crate::pipeline::run_pipeline`]. Each attempt solves the task graph
+/// for block-rows `start_row..stop_row` over the current slabs, then looks
+/// for the earliest scheduled fault inside that range and either:
+///
+/// * **recovers or aborts.** Without a policy, once the failure budget is
+///   spent, or when no survivor remains, the run aborts at the fault
+///   instant. Otherwise the device is blacklisted, its columns are
+///   repartitioned, and the run rewinds to the newest complete checkpoint
+///   wave: with every slab's checkpoint deposited at its kernel's
+///   simulated finish, a wave is complete once min-over-slabs of
+///   consecutively finished kernels reaches it. The lost attempt's
+///   simulated time up to the fault is folded into the cumulative clock;
+///   the recovery pause itself is free.
+/// * **rebalances at the boundary.** With rebalancing on, segments span
+///   `checkpoint interval × window_waves` block-rows, and [`rebalance`]
+///   decides from each device's effective throughput over the solved
+///   segment (covered cells, net of pruned tiles, per busy simulated
+///   nanosecond). The hand-off is rewind-free: the next segment starts at
+///   the boundary wave over the new slabs, exactly as the threaded workers
+///   resume from the boundary checkpoint's full-width border wave.
+/// * **finalizes** after the last row.
+///
+/// Every completed attempt is booked into per-device [`DeviceTotals`], so
+/// the report covers the whole run. The bulk baseline is always a single
+/// segment.
+fn simulate(
     env: &DesEnv<'_>,
-    slabs: &[Slab],
+    slabs: Vec<Slab>,
     mode: Mode,
+    faults: &FaultSchedule,
     policy: Option<RecoveryPolicy>,
 ) -> DesRun {
-    let memory = crate::memory::check_platform(env.m, slabs, env.platform, env.config);
-    if env.m == 0 || slabs.is_empty() {
+    let (m, n, config) = (env.m, env.n, env.config);
+    let memory = crate::memory::check_platform(m, &slabs, env.platform, config);
+    let fine = mode == Mode::FineGrain;
+    let rebalance_mode = if fine {
+        config.policy.rebalance
+    } else {
+        RebalanceMode::Off
+    };
+    if m == 0 || slabs.is_empty() {
         let report = RunReport {
             best: megasw_sw::BestCell::ZERO,
-            total_cells: env.m as u128 * env.n as u128,
+            total_cells: m as u128 * n as u128,
             wall_time: None,
             gcups_wall: None,
             sim_time: Some(SimTime::ZERO),
@@ -674,9 +699,10 @@ fn run_plain(
                 watermark_lag: 0,
             }),
             recovery: policy.map(|_| RecoveryReport::default()),
-            rebalance: (mode == Mode::FineGrain && env.config.policy.rebalance.is_enabled())
+            rebalance: rebalance_mode
+                .is_enabled()
                 .then_some(RebalanceReport::default()),
-            kernel: megasw_sw::KernelSelection::modeled(env.config.policy.dispatch),
+            kernel: megasw_sw::KernelSelection::modeled(config.policy.dispatch),
             simd_rescues: 0,
         };
         return DesRun {
@@ -688,118 +714,193 @@ fn run_plain(
             aborted: None,
         };
     }
-    let rows = env.m.div_ceil(env.config.block_h);
-    let graph = build_task_graph(env, slabs, mode, 0, rows);
-    let recovery = policy.map(|_| RecoveryReport::default());
-    let rebalance = (mode == Mode::FineGrain && env.config.policy.rebalance.is_enabled())
-        .then_some(RebalanceReport::default());
-    finalize(
-        env,
-        slabs,
-        graph,
-        mode,
-        SimTime::ZERO,
-        recovery,
-        rebalance,
-        Vec::new(),
-        memory,
-    )
-}
-
-/// The checkpoint-boundary rebalance driver — the DES twin of the threaded
-/// pipeline's segmented runner. Each segment spans `checkpoint interval ×
-/// window_waves` block-rows; at its boundary the controller samples each
-/// device's effective throughput from the solved segment schedule (covered
-/// cells, net of pruned tiles, per busy simulated nanosecond), predicts the
-/// balanced makespan, and re-splits the columns when the predicted relative
-/// improvement clears the hysteresis threshold. The hand-off is rewind-free:
-/// the next segment's graph starts at the boundary wave over the new slabs,
-/// exactly as the threaded workers resume from the boundary checkpoint's
-/// full-width border wave.
-fn run_rebalanced(env: &DesEnv<'_>, slabs: &[Slab]) -> DesRun {
-    let (m, n, config) = (env.m, env.n, env.config);
-    let memory = crate::memory::check_platform(m, slabs, env.platform, config);
-    let rows = m.div_ceil(config.block_h);
-    let RebalanceMode::On {
-        threshold,
-        window_waves,
-    } = config.policy.rebalance
-    else {
-        unreachable!("run_rebalanced requires RebalanceMode::On");
+    let interval = match config.policy.checkpoint.rows_interval() {
+        // The bulk baseline deposits no checkpoints.
+        _ if !fine => None,
+        // Mirror of the threaded pipeline: recovery without a checkpoint
+        // cadence cannot make progress after a fault and is rejected up
+        // front.
+        None if policy.is_some() => {
+            return aborted_run(
+                env,
+                Schedule::new(),
+                SimTime::ZERO,
+                Some(RecoveryReport::default()),
+                Vec::new(),
+                PipelineError::InvalidConfig(
+                    "recovery requires a checkpoint cadence (policy.checkpoint must not be Disabled)"
+                        .to_string(),
+                ),
+                memory,
+            );
+        }
+        iv => iv,
     };
-    // `validate()` guarantees a cadence exists when rebalance is on.
-    let interval = config
-        .policy
-        .checkpoint
-        .rows_interval()
-        .expect("rebalance requires a checkpoint cadence");
-    let seg_rows = (interval * window_waves).clamp(1, rows);
+    let rows = m.div_ceil(config.block_h);
+    let block_h = config.block_h;
+    let cells_at = |row: usize| ((row * block_h).min(m) as u128) * n as u128;
+    let seg_rows = match rebalance_mode {
+        RebalanceMode::On { window_waves, .. } => {
+            interval.expect("rebalance requires a checkpoint cadence") * window_waves
+        }
+        RebalanceMode::Off => rows,
+    }
+    .clamp(1, rows);
+    // Checkpoints one slab deposits over waves `from + 1..=to`.
+    let deposits = |from: usize, to: usize| {
+        interval.map_or(0, |iv| {
+            (from + 1..=to).filter(|w| w % iv == 0 && *w < rows).count() as u64
+        })
+    };
 
-    let mut cur: Vec<Slab> = slabs.to_vec();
+    let mut cur = slabs;
+    let mut totals = vec![DeviceTotals::default(); env.platform.len()];
+    let mut blacklist: Vec<usize> = Vec::new();
     let mut start_row = 0usize;
     let mut offset = SimTime::ZERO;
+    let mut recovery = RecoveryReport::default();
     let mut rb = RebalanceReport::default();
+    let mut failures = 0usize;
+    let mut losses: Vec<DeviceLossEvent> = Vec::new();
+    // Probed once, reused across every repartition of this run.
+    let mut calibrated: Option<Vec<f64>> = None;
 
     loop {
         let stop_row = ((start_row / seg_rows + 1) * seg_rows).min(rows);
-        let graph = build_task_graph(env, &cur, Mode::FineGrain, start_row, stop_row);
+        let graph = build_task_graph(env, &cur, mode, start_row, stop_row);
+        if let Some((device, block_row, t_fail)) = earliest_fault(&graph, &cur, faults, &blacklist)
+        {
+            losses.push(DeviceLossEvent {
+                device,
+                block_row,
+                at: offset + t_fail,
+            });
+            // Checkpoints this attempt deposited before the fault: one per
+            // slab per interval-multiple wave its kernels retired by
+            // t_fail. Also the rewind frontier: a wave is complete once
+            // *every* slab has deposited it.
+            let mut frontier = stop_row;
+            let mut attempt_cells: u128 = 0;
+            for (slab, tasks) in cur.iter().zip(&graph.kernel_tasks) {
+                let done = tasks
+                    .iter()
+                    .take_while(|&&k| graph.schedule.finish_of(k) <= t_fail)
+                    .count();
+                attempt_cells += slab_cells(m, block_h, start_row, start_row + done, slab.width);
+                recovery.checkpoints_taken += deposits(start_row, start_row + done);
+                frontier = frontier.min(start_row + done);
+            }
+
+            failures += 1;
+            blacklist.push(device);
+            let measured = match config.policy.partition {
+                PartitionPolicy::Proportional => Some(
+                    calibrated
+                        .get_or_insert_with(|| crate::balance::default_weights(env.platform))
+                        .as_slice(),
+                ),
+                _ => None,
+            };
+            let survivors = make_slabs_excluding_with_weights(
+                n,
+                config.block_w,
+                env.platform,
+                &config.policy.partition,
+                &blacklist,
+                measured,
+            );
+            // Without a policy this is the threaded pipeline's fail-fast
+            // path; with one, the failure budget or the last survivor ran
+            // out.
+            if policy.is_none_or(|p| failures > p.max_device_failures) || survivors.is_empty() {
+                return aborted_run(
+                    env,
+                    graph.schedule,
+                    offset + t_fail,
+                    policy.map(|_| recovery),
+                    losses,
+                    PipelineError::DeviceFault { device, block_row },
+                    memory,
+                );
+            }
+
+            // Newest complete wave: the largest interval multiple the
+            // frontier covers (capped below `rows` — the threaded workers
+            // never deposit the final border), never older than the wave
+            // this attempt resumed from.
+            let iv = interval.expect("recovery runs have a checkpoint cadence");
+            let wave = (frontier / iv * iv).min((rows - 1) / iv * iv);
+            let new_start = wave.max(start_row);
+            let preserved = cells_at(new_start).saturating_sub(cells_at(start_row));
+            recovery.rewound_cells += attempt_cells.saturating_sub(preserved);
+            recovery.recoveries += 1;
+            recovery.failed_devices.push(device);
+            recovery.resumed_from_rows.push(new_start);
+            if let Some(live) = env.live {
+                live.on_recovery();
+            }
+            if env.obs.is_enabled() {
+                let at = (offset + t_fail).as_nanos();
+                env.obs.record(ObsSpan {
+                    kind: ObsKind::Recovery,
+                    device: Some(device as u32),
+                    block_row: Some(block_row as u32),
+                    start_ns: at,
+                    end_ns: at,
+                });
+            }
+            offset += t_fail;
+            cur = survivors;
+            start_row = new_start;
+            continue;
+        }
+
+        book_attempt(env, &cur, &graph, mode, offset, &mut totals);
+        recovery.checkpoints_taken += deposits(start_row, stop_row) * cur.len() as u64;
+        let makespan = graph.schedule.makespan();
         if stop_row >= rows {
             return finalize(
                 env,
                 &cur,
-                graph,
-                Mode::FineGrain,
-                offset,
-                None,
-                Some(rb),
-                Vec::new(),
+                graph.schedule,
+                offset + makespan,
+                &totals,
+                policy.map(|_| recovery),
+                rebalance_mode.is_enabled().then_some(rb),
+                losses,
                 memory,
             );
         }
-        let makespan = graph.schedule.makespan();
-        rb.evaluations += 1;
-        // Effective throughput over the segment. The graph already priced
-        // pruned tiles at zero kernel time, so covered cells must likewise
-        // exclude them or a heavily-pruned slab would look faster than its
-        // silicon.
-        let prune = PruneModel::new(env, &cur);
-        let rates: Vec<f64> = cur
-            .iter()
-            .enumerate()
-            .map(|(s, slab)| {
-                let cells: u64 = (start_row..stop_row)
-                    .map(|r| match &prune {
-                        Some(pm) => pm.row(s, r).computed_cells,
-                        None => row_height(m, config.block_h, r) as u64 * slab.width as u64,
-                    })
-                    .sum();
-                let busy = graph.schedule.busy_of(graph.computes[s]).as_nanos().max(1);
-                cells as f64 / busy as f64
-            })
-            .collect();
-        let sum: f64 = rates.iter().sum();
-        let t_static = cur
-            .iter()
-            .zip(&rates)
-            .map(|(slab, r)| slab.width as f64 / r.max(f64::MIN_POSITIVE))
-            .fold(0.0f64, f64::max);
-        let t_balanced = n as f64 / sum.max(f64::MIN_POSITIVE);
-        let improvement = 1.0 - t_balanced / t_static.max(f64::MIN_POSITIVE);
-        if improvement >= threshold {
-            let devices: Vec<usize> = cur.iter().map(|s| s.device).collect();
-            let new_slabs = resplit_slabs(n, config.block_w, &devices, &rates);
-            // Widths sum to `n` on both sides, so half the total absolute
-            // delta is exactly the columns that changed hands.
-            let moved: usize = cur
+
+        if let RebalanceMode::On { threshold, .. } = rebalance_mode {
+            // Effective throughput over the segment. The graph already
+            // priced pruned tiles at zero kernel time, so covered cells
+            // must likewise exclude them or a heavily-pruned slab would
+            // look faster than its silicon.
+            let prune = PruneModel::new(env, &cur);
+            let rates: Vec<f64> = cur
                 .iter()
-                .zip(&new_slabs)
-                .map(|(a, b)| a.width.abs_diff(b.width))
-                .sum::<usize>()
-                / 2;
-            if moved > 0 {
-                rb.migrations += 1;
-                rb.moved_columns += moved as u64;
-                rb.applied_at_rows.push(stop_row);
+                .enumerate()
+                .map(|(s, slab)| {
+                    let cells: u64 = (start_row..stop_row)
+                        .map(|r| match &prune {
+                            Some(pm) => pm.row(s, r).computed_cells,
+                            None => row_height(m, block_h, r) as u64 * slab.width as u64,
+                        })
+                        .sum();
+                    let busy = graph.schedule.busy_of(graph.computes[s]).as_nanos().max(1);
+                    cells as f64 / busy as f64
+                })
+                .collect();
+            if let Some(new_slabs) = rebalance(
+                &mut rb,
+                stop_row,
+                &cur,
+                &rates,
+                n,
+                config.block_w,
+                threshold,
+            ) {
                 if env.obs.is_enabled() {
                     let at = (offset + makespan).as_nanos();
                     env.obs.record(ObsSpan {
@@ -818,313 +919,42 @@ fn run_rebalanced(env: &DesEnv<'_>, slabs: &[Slab]) -> DesRun {
     }
 }
 
-/// The fault-injecting / recovering driver — the DES twin of
-/// [`crate::pipeline::run_pipeline_recover_live`]. Per attempt it solves
-/// the survivor schedule, finds the earliest scheduled fault that applies,
-/// and (with a policy) rewinds to the newest complete checkpoint wave:
-/// with every slab's checkpoint deposited at its kernel's simulated finish,
-/// a wave is complete once min-over-slabs of consecutively finished
-/// kernels reaches it. The lost attempt's simulated time up to the fault is
-/// folded into a cumulative offset; the recovery pause itself is free.
-fn run_with_faults(
+/// Book one completed attempt into the run, on its cumulative clock
+/// (`offset` is the simulated time of the attempts before it): add each
+/// slab's activity to its device's totals, replay the kernel completions
+/// into the live handle, and export the attempt's spans.
+fn book_attempt(
     env: &DesEnv<'_>,
     slabs: &[Slab],
-    faults: &FaultSchedule,
-    policy: Option<RecoveryPolicy>,
-) -> DesRun {
-    let (m, n, config) = (env.m, env.n, env.config);
-    let memory = crate::memory::check_platform(m, slabs, env.platform, config);
-    let rows = m.div_ceil(config.block_h);
-    let block_h = config.block_h;
-    let cells_at = |row: usize| ((row * block_h).min(m) as u128) * n as u128;
-
-    // Mirror of the threaded pipeline: recovery without a checkpoint
-    // cadence cannot make progress after a fault and is rejected up front.
-    let ck_rows = match config.policy.checkpoint.rows_interval() {
-        Some(iv) => iv,
-        None if policy.is_some() => {
-            let empty = TaskGraph {
-                schedule: Schedule::new(),
-                computes: Vec::new(),
-                kernel_tasks: Vec::new(),
-                transfer_tasks: Vec::new(),
-                start_row: 0,
-            };
-            return aborted_run(
-                env,
-                empty,
-                SimTime::ZERO,
-                Some(RecoveryReport::default()),
-                Vec::new(),
-                Some(PipelineError::InvalidConfig(
-                    "recovery requires a checkpoint cadence (policy.checkpoint must not be Disabled)"
-                        .to_string(),
-                )),
-                memory,
-            );
-        }
-        None => usize::MAX,
-    };
-
-    let mut cur: Vec<Slab> = slabs.to_vec();
-    let mut blacklist: Vec<usize> = Vec::new();
-    let mut start_row = 0usize;
-    let mut offset = SimTime::ZERO;
-    let mut recovery = RecoveryReport::default();
-    let mut best_wave = 0usize;
-    let mut failures = 0usize;
-    let mut losses: Vec<DeviceLossEvent> = Vec::new();
-    // Probed once, reused across every repartition of this run.
-    let mut calibrated: Option<Vec<f64>> = None;
-
-    loop {
-        let graph = build_task_graph(env, &cur, Mode::FineGrain, start_row, rows);
-        let Some((device, block_row, t_fail)) =
-            earliest_fault(&graph, &cur, faults, start_row, rows, &blacklist)
-        else {
-            // No applicable fault left: this attempt completes. Every slab
-            // deposits every remaining wave of the matrix.
-            if policy.is_some() {
-                let waves = (start_row + 1..rows).filter(|w| w % ck_rows == 0).count() as u64;
-                recovery.checkpoints_taken += waves * cur.len() as u64;
-            }
-            let rec = policy.map(|_| recovery);
-            return finalize(
-                env,
-                &cur,
-                graph,
-                Mode::FineGrain,
-                offset,
-                rec,
-                None,
-                losses,
-                memory,
-            );
-        };
-
-        losses.push(DeviceLossEvent {
-            device,
-            block_row,
-            at: offset + t_fail,
-        });
-
-        // Checkpoints this attempt deposited before the fault: one per
-        // slab per interval-multiple wave its kernels retired by t_fail.
-        // Also the rewind frontier: a wave is complete once *every* slab
-        // has deposited it.
-        let mut frontier = rows;
-        let mut attempt_cells: u128 = 0;
-        for (slab, tasks) in cur.iter().zip(&graph.kernel_tasks) {
-            let mut done = 0usize;
-            for (rel, &k) in tasks.iter().enumerate() {
-                if graph.schedule.finish_of(k) > t_fail {
-                    break;
-                }
-                done = rel + 1;
-                attempt_cells +=
-                    row_height(m, block_h, start_row + rel) as u128 * slab.width as u128;
-            }
-            if policy.is_some() {
-                recovery.checkpoints_taken += (start_row + 1..=start_row + done)
-                    .filter(|w| w % ck_rows == 0 && *w < rows)
-                    .count() as u64;
-            }
-            frontier = frontier.min(start_row + done);
-        }
-
-        let aborted = Some(PipelineError::DeviceFault { device, block_row });
-        let Some(p) = policy else {
-            // Fail-fast mirror of the threaded pipeline without `.recover`.
-            return aborted_run(env, graph, offset + t_fail, None, losses, aborted, memory);
-        };
-        failures += 1;
-        if failures > p.max_device_failures {
-            return aborted_run(
-                env,
-                graph,
-                offset + t_fail,
-                Some(recovery),
-                losses,
-                aborted,
-                memory,
-            );
-        }
-        blacklist.push(device);
-        let measured = match config.policy.partition {
-            PartitionPolicy::Proportional => Some(
-                calibrated
-                    .get_or_insert_with(|| crate::balance::default_weights(env.platform))
-                    .as_slice(),
-            ),
-            _ => None,
-        };
-        let survivors = make_slabs_excluding_with_weights(
-            n,
-            config.block_w,
-            env.platform,
-            &config.policy.partition,
-            &blacklist,
-            measured,
-        );
-        if survivors.is_empty() {
-            return aborted_run(
-                env,
-                graph,
-                offset + t_fail,
-                Some(recovery),
-                losses,
-                aborted,
-                memory,
-            );
-        }
-
-        // Newest complete wave: the largest interval multiple the frontier
-        // covers (capped below `rows` — the threaded workers never deposit
-        // the final border), never older than a previous attempt's wave.
-        let mut wave = (frontier / ck_rows) * ck_rows;
-        if wave >= rows {
-            wave = ((rows - 1) / ck_rows) * ck_rows;
-        }
-        best_wave = best_wave.max(wave);
-        let new_start = best_wave;
-        let preserved = cells_at(new_start).saturating_sub(cells_at(start_row));
-        recovery.rewound_cells += attempt_cells.saturating_sub(preserved);
-        recovery.recoveries += 1;
-        recovery.failed_devices.push(device);
-        recovery.resumed_from_rows.push(new_start);
-        if let Some(live) = env.live {
-            live.on_recovery();
-        }
-        if env.obs.is_enabled() {
-            let at = (offset + t_fail).as_nanos();
-            env.obs.record(ObsSpan {
-                kind: ObsKind::Recovery,
-                device: Some(device as u32),
-                block_row: Some(block_row as u32),
-                start_ns: at,
-                end_ns: at,
-            });
-        }
-        offset += t_fail;
-        cur = survivors;
-        start_row = new_start;
-    }
-}
-
-/// The earliest scheduled fault that applies to this attempt: its device
-/// still holds a slab (and is not blacklisted) and its block-row is inside
-/// the attempt's range. `RingPop`/`Compute` faults fire at the victim
-/// kernel's simulated start, `RingPush`/`Transfer` at its finish.
-fn earliest_fault(
     graph: &TaskGraph,
-    slabs: &[Slab],
-    faults: &FaultSchedule,
-    start_row: usize,
-    rows: usize,
-    blacklist: &[usize],
-) -> Option<(usize, usize, SimTime)> {
-    let mut best: Option<(SimTime, usize, usize)> = None;
-    for f in &faults.faults {
-        if blacklist.contains(&f.device) || f.block_row < start_row || f.block_row >= rows {
-            continue;
-        }
-        let Some(s) = slabs.iter().position(|sl| sl.device == f.device) else {
-            continue;
-        };
-        let k = graph.kernel_tasks[s][f.block_row - start_row];
-        let t = match f.phase {
-            FaultPhase::RingPop | FaultPhase::Compute => graph.schedule.start_of(k),
-            FaultPhase::RingPush | FaultPhase::Transfer => graph.schedule.finish_of(k),
-        };
-        if best.is_none_or(|(bt, _, _)| t < bt) {
-            best = Some((t, f.device, f.block_row));
-        }
-    }
-    best.map(|(t, d, r)| (d, r, t))
-}
-
-/// A run that did not complete: simulated time stops at the fault instant;
-/// no per-device reporting (the threaded mirror returns `Err` here).
-#[allow(clippy::too_many_arguments)]
-fn aborted_run(
-    env: &DesEnv<'_>,
-    graph: TaskGraph,
-    at: SimTime,
-    recovery: Option<RecoveryReport>,
-    losses: Vec<DeviceLossEvent>,
-    aborted: Option<PipelineError>,
-    memory: Result<Vec<crate::memory::DeviceMemoryPlan>, crate::memory::MemoryError>,
-) -> DesRun {
-    DesRun {
-        report: RunReport {
-            best: megasw_sw::BestCell::ZERO,
-            total_cells: env.m as u128 * env.n as u128,
-            wall_time: None,
-            gcups_wall: None,
-            sim_time: Some(at),
-            gcups_sim: None,
-            devices: Vec::new(),
-            pruning: None,
-            recovery,
-            rebalance: None,
-            kernel: megasw_sw::KernelSelection::modeled(env.config.policy.dispatch),
-            simd_rescues: 0,
-        },
-        schedule: graph.schedule,
-        memory,
-        stalls: Vec::new(),
-        losses,
-        aborted,
-    }
-}
-
-/// Turn the final attempt's solved graph into the [`DesRun`]: live replay,
-/// span export, stall breakdowns and the report. `offset` is the simulated
-/// time consumed by earlier (lost) attempts; live/span timelines cover the
-/// surviving attempt only, shifted by that offset.
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    env: &DesEnv<'_>,
-    slabs: &[Slab],
-    graph: TaskGraph,
     mode: Mode,
     offset: SimTime,
-    recovery: Option<RecoveryReport>,
-    rebalance: Option<RebalanceReport>,
-    losses: Vec<DeviceLossEvent>,
-    memory: Result<Vec<crate::memory::DeviceMemoryPlan>, crate::memory::MemoryError>,
-) -> DesRun {
-    let (m, n, platform, config) = (env.m, env.n, env.platform, env.config);
+    totals: &mut [DeviceTotals],
+) {
+    let (m, block_h) = (env.m, env.config.block_h);
+    let rows = m.div_ceil(block_h);
     let TaskGraph {
         schedule,
         computes,
         kernel_tasks,
         transfer_tasks,
         start_row,
+        end_row,
     } = graph;
-    let total_cells = m as u128 * n as u128;
-    let rows = m.div_ceil(config.block_h);
-    let makespan = schedule.makespan();
-    let sim_time = offset + makespan;
-    let secs = sim_time.as_secs_f64();
+    let (start_row, end_row) = (*start_row, *end_row);
     let off_ns = offset.as_nanos();
-    let prune_model = PruneModel::new(env, slabs);
-    let pruning = prune_model.as_ref().map(|pm| pm.report());
 
     // Drive the live handle at simulated-time boundaries: every kernel
     // completion, in simulated-finish order, advances the manual clock and
     // books the row it retired.
     if let Some(live) = env.live {
-        for (s_idx, tasks) in kernel_tasks.iter().enumerate() {
-            live.set_rows_total(s_idx, tasks.len() as u64);
-        }
         let mut completions: Vec<(u64, usize, u64, u64)> = Vec::new();
-        for (s_idx, (slab, tasks)) in slabs.iter().zip(&kernel_tasks).enumerate() {
+        for (s_idx, (slab, tasks)) in slabs.iter().zip(kernel_tasks).enumerate() {
+            live.set_rows_total(s_idx, rows as u64);
             for (rel, &k) in tasks.iter().enumerate() {
                 let start = schedule.start_of(k).as_nanos();
                 let finish = schedule.finish_of(k).as_nanos();
-                let cells =
-                    row_height(m, config.block_h, start_row + rel) as u64 * slab.width as u64;
+                let cells = row_height(m, block_h, start_row + rel) as u64 * slab.width as u64;
                 completions.push((off_ns + finish, s_idx, cells, finish.saturating_sub(start)));
             }
         }
@@ -1133,20 +963,6 @@ fn finalize(
             live.set_now_ns(finish_ns);
             live.on_row_done(s_idx, cells, dur_ns);
         }
-        // Mirror the threaded workers' per-device pruning telemetry with
-        // the modeled final values.
-        if let Some(pm) = &prune_model {
-            for s_idx in 0..slabs.len() {
-                let (mut tiles, mut skipped) = (0u64, 0u64);
-                for r in 0..rows {
-                    let rp = pm.row(s_idx, r);
-                    tiles += rp.pruned_tiles;
-                    skipped += rp.skipped_cells;
-                }
-                live.on_prune_update(s_idx, pm.watermark(s_idx, rows) as i32, tiles, skipped);
-            }
-        }
-        live.set_now_ns(sim_time.as_nanos());
     }
 
     // Span export: simulated-time Kernel and BorderXfer spans, one per
@@ -1175,79 +991,178 @@ fn finalize(
         }
     }
 
-    // Idle breakdown per device: fill before the first kernel, gaps
-    // between kernels (waiting for the left neighbour's borders), and
-    // drain after the last.
-    let stalls: Vec<StallBreakdown> = kernel_tasks
-        .iter()
-        .map(|tasks| {
-            let mut bd = StallBreakdown::default();
-            if let (Some(&first), Some(&last)) = (tasks.first(), tasks.last()) {
-                bd.startup = schedule.start_of(first);
-                bd.drain = makespan.saturating_sub(schedule.finish_of(last));
-                for pair in tasks.windows(2) {
-                    bd.input_stalls += schedule
-                        .start_of(pair[1])
-                        .saturating_sub(schedule.finish_of(pair[0]));
-                }
+    for (s, slab) in slabs.iter().enumerate() {
+        let tasks = &kernel_tasks[s];
+        let (Some(&first), Some(&last)) = (tasks.first(), tasks.last()) else {
+            continue;
+        };
+        let busy_ns = schedule.busy_of(computes[s]).as_nanos();
+        let first_ns = schedule.start_of(first).as_nanos();
+        let last_ns = schedule.finish_of(last).as_nanos();
+        // A compute stream runs its kernels back to back, so the gaps
+        // between them — time spent waiting for the left neighbour's
+        // borders — are the envelope minus the busy time. They are the
+        // DES's only measured stall phase; the unmeasured rest (startup,
+        // drain, lost attempts) lands in `other`.
+        let wait_input_ns = (last_ns - first_ns).saturating_sub(busy_ns);
+        if let Some(live) = env.live {
+            live.on_phase_ns(s, StallPhase::WaitInput, wait_input_ns);
+        }
+        let bytes_sent = if s + 1 < slabs.len() {
+            match mode {
+                Mode::FineGrain => (start_row..end_row)
+                    .map(|r| border_bytes(row_height(m, block_h, r)))
+                    .sum(),
+                Mode::BulkSynchronous => border_bytes(m),
             }
-            bd
-        })
-        .collect();
-    // Mirror the threaded workers' live phase attribution: simulated
-    // border waits are the DES's only measured stall phase.
-    if let Some(live) = env.live {
-        for (s_idx, bd) in stalls.iter().enumerate() {
-            live.on_phase_ns(s_idx, StallPhase::WaitInput, bd.input_stalls.as_nanos());
+        } else {
+            0
+        };
+        totals[slab.device].add(&DeviceTotals {
+            cells: slab_cells(m, block_h, start_row, end_row, slab.width),
+            bytes_sent,
+            busy_ns,
+            wait_input_ns,
+            first_kernel_start_ns: Some(off_ns + first_ns),
+            last_kernel_end_ns: off_ns + last_ns,
+            ..DeviceTotals::default()
+        });
+    }
+}
+
+/// The earliest scheduled fault that applies to this attempt: its device
+/// still holds a slab (and is not blacklisted) and its block-row is inside
+/// the attempt's range `graph.start_row..graph.end_row`. `RingPop`/`Compute` faults fire at the victim
+/// kernel's simulated start, `RingPush`/`Transfer` at its finish.
+fn earliest_fault(
+    graph: &TaskGraph,
+    slabs: &[Slab],
+    faults: &FaultSchedule,
+    blacklist: &[usize],
+) -> Option<(usize, usize, SimTime)> {
+    let (start_row, end_row) = (graph.start_row, graph.end_row);
+    let mut best: Option<(SimTime, usize, usize)> = None;
+    for f in &faults.faults {
+        if blacklist.contains(&f.device) || f.block_row < start_row || f.block_row >= end_row {
+            continue;
+        }
+        let Some(s) = slabs.iter().position(|sl| sl.device == f.device) else {
+            continue;
+        };
+        let k = graph.kernel_tasks[s][f.block_row - start_row];
+        let t = match f.phase {
+            FaultPhase::RingPop | FaultPhase::Compute => graph.schedule.start_of(k),
+            FaultPhase::RingPush | FaultPhase::Transfer => graph.schedule.finish_of(k),
+        };
+        if best.is_none_or(|(bt, _, _)| t < bt) {
+            best = Some((t, f.device, f.block_row));
         }
     }
-    // Rows the final attempt actually covered (all of them, fault-free).
-    let height_covered = m - (start_row * config.block_h).min(m);
-    let devices = slabs
-        .iter()
-        .enumerate()
-        .map(|(s, slab)| {
-            let busy = schedule.busy_of(computes[s]);
-            let sent = if s + 1 < slabs.len() {
-                match mode {
-                    Mode::FineGrain => (start_row..rows)
-                        .map(|r| border_bytes(row_height(m, config.block_h, r)))
-                        .sum(),
-                    Mode::BulkSynchronous => border_bytes(m),
+    best.map(|(t, d, r)| (d, r, t))
+}
+
+/// A run that did not complete: simulated time stops at the fault instant;
+/// no per-device reporting (the threaded mirror returns `Err` here).
+fn aborted_run(
+    env: &DesEnv<'_>,
+    schedule: Schedule,
+    at: SimTime,
+    recovery: Option<RecoveryReport>,
+    losses: Vec<DeviceLossEvent>,
+    aborted: PipelineError,
+    memory: Result<Vec<crate::memory::DeviceMemoryPlan>, crate::memory::MemoryError>,
+) -> DesRun {
+    DesRun {
+        report: RunReport {
+            best: megasw_sw::BestCell::ZERO,
+            total_cells: env.m as u128 * env.n as u128,
+            wall_time: None,
+            gcups_wall: None,
+            sim_time: Some(at),
+            gcups_sim: None,
+            devices: Vec::new(),
+            pruning: None,
+            recovery,
+            rebalance: None,
+            kernel: megasw_sw::KernelSelection::modeled(env.config.policy.dispatch),
+            simd_rescues: 0,
+        },
+        schedule,
+        memory,
+        stalls: Vec::new(),
+        losses,
+        aborted: Some(aborted),
+    }
+}
+
+/// Turn a completed run into the [`DesRun`]: the final attempt's schedule,
+/// the surviving chain's device rows from the whole-run `totals`, the
+/// pruning report and the closing live-telemetry updates.
+#[allow(clippy::too_many_arguments)]
+fn finalize(
+    env: &DesEnv<'_>,
+    slabs: &[Slab],
+    schedule: Schedule,
+    sim_time: SimTime,
+    totals: &[DeviceTotals],
+    recovery: Option<RecoveryReport>,
+    rebalance: Option<RebalanceReport>,
+    losses: Vec<DeviceLossEvent>,
+    memory: Result<Vec<crate::memory::DeviceMemoryPlan>, crate::memory::MemoryError>,
+) -> DesRun {
+    let (m, n, platform, config) = (env.m, env.n, env.platform, env.config);
+    let total_cells = m as u128 * n as u128;
+    let rows = m.div_ceil(config.block_h);
+    let secs = sim_time.as_secs_f64();
+    let sim_ns = sim_time.as_nanos();
+    let prune_model = PruneModel::new(env, slabs);
+    let pruning = prune_model.as_ref().map(|pm| pm.report());
+
+    if let Some(live) = env.live {
+        // Mirror the threaded workers' per-device pruning telemetry with
+        // the modeled final values.
+        if let Some(pm) = &prune_model {
+            for s_idx in 0..slabs.len() {
+                let (mut tiles, mut skipped) = (0u64, 0u64);
+                for r in 0..rows {
+                    let rp = pm.row(s_idx, r);
+                    tiles += rp.pruned_tiles;
+                    skipped += rp.skipped_cells;
                 }
-            } else {
-                0
-            };
-            // The DES's attribution mirror: simulated kernel busy time is
-            // `compute`, inter-kernel gaps are `wait_input`, and the
-            // unmeasured remainder (startup + drain + lost attempts'
-            // offset) lands in `other` — the same sum-to-makespan identity
-            // as the threaded backend, over `sim_time` as the makespan.
-            let attribution = StallAttribution::from_measured(
-                sim_time.as_nanos(),
-                busy.as_nanos(),
-                stalls[s].input_stalls.as_nanos(),
-                0,
-                0,
-                0,
-                0,
-            );
+                live.on_prune_update(s_idx, pm.watermark(s_idx, rows) as i32, tiles, skipped);
+            }
+        }
+        live.set_now_ns(sim_ns);
+    }
+
+    // The same sum-to-makespan identity as the threaded backend, over
+    // `sim_time` as the makespan.
+    let devices: Vec<DeviceReport> = slabs
+        .iter()
+        .map(|slab| {
+            let t = &totals[slab.device];
+            let busy = SimTime(t.busy_ns);
             DeviceReport {
                 device: slab.device,
                 name: platform.devices[slab.device].name.clone(),
                 slab_j0: slab.j0,
                 slab_width: slab.width,
-                cells: height_covered as u128 * slab.width as u128,
-                bytes_sent: sent,
+                cells: t.cells,
+                bytes_sent: t.bytes_sent,
                 ring_out: None,
                 wall_busy: None,
                 sim_busy: Some(busy),
-                sim_utilization: Some(schedule.utilization(computes[s])),
-                stall: Some(stalls[s]),
-                attribution: Some(attribution),
+                sim_utilization: Some(if sim_ns == 0 {
+                    0.0
+                } else {
+                    busy.as_secs_f64() / secs
+                }),
+                stall: Some(t.stall(0, sim_ns)),
+                attribution: Some(t.attribution(sim_ns)),
             }
         })
         .collect();
+    let stalls = devices.iter().filter_map(|d| d.stall).collect();
 
     let report = RunReport {
         best: megasw_sw::BestCell::ZERO, // timing-only run
@@ -1283,6 +1198,11 @@ fn link_between_slabs(platform: &Platform, slabs: &[Slab], s: usize) -> megasw_g
     } else {
         b
     }
+}
+
+/// Cells of block-rows `from..to` in a slab `width` columns wide.
+fn slab_cells(m: usize, block_h: usize, from: usize, to: usize, width: usize) -> u128 {
+    ((to * block_h).min(m) - (from * block_h).min(m)) as u128 * width as u128
 }
 
 fn row_height(m: usize, block_h: usize, r: usize) -> usize {
@@ -1976,5 +1896,90 @@ mod tests {
         for &row in &rb.applied_at_rows {
             assert_eq!(row % iv, 0, "migration off-boundary at {row}");
         }
+    }
+
+    /// The whole-run identities on simulated time: device cells tile the
+    /// matrix, and every device's phases and stall envelope span it.
+    fn assert_whole_run_accounting(run: &DesRun) {
+        let covered: u128 = run.report.devices.iter().map(|d| d.cells).sum();
+        assert_eq!(
+            covered, run.report.total_cells,
+            "device cells must tile the matrix"
+        );
+        let sim_ns = run.report.sim_time.unwrap().as_nanos();
+        for (d, bd) in run.report.devices.iter().zip(&run.stalls) {
+            let attr = d.attribution.unwrap();
+            assert_eq!(attr.total_ns(), sim_ns, "device {}: {attr}", d.device);
+            assert_eq!(
+                bd.total().as_nanos(),
+                sim_ns - d.sim_busy.unwrap().as_nanos()
+            );
+        }
+    }
+
+    #[test]
+    fn des_rebalanced_run_accounts_for_every_segment() {
+        let p = Platform::env2();
+        let rows = MBP.div_ceil(cfg().block_h);
+        let run = DesSim::new(MBP, MBP, &p)
+            .config(cfg().with_rebalance(RebalanceMode::on()))
+            .drift(ClockDrift {
+                device: 0,
+                after_row: rows / 2,
+                factor: 0.5,
+            })
+            .run();
+        assert!(run.report.rebalance.as_ref().unwrap().migrations >= 1);
+        assert_whole_run_accounting(&run);
+        // Busy time over the whole run, not one segment: the devices
+        // computed for most of the makespan.
+        for d in &run.report.devices {
+            assert!(
+                d.attribution.unwrap().compute_ns * 2 > run.report.sim_time.unwrap().as_nanos()
+            );
+        }
+    }
+
+    #[test]
+    fn des_faults_and_rebalancing_compose_deterministically() {
+        use crate::pipeline::FaultPlan;
+        let p = Platform::env2();
+        let rows = MBP.div_ceil(cfg().block_h);
+        let go = || {
+            DesSim::new(MBP, MBP, &p)
+                .config(cfg().with_rebalance(RebalanceMode::on()))
+                .drift(ClockDrift {
+                    device: 0,
+                    after_row: rows / 4,
+                    factor: 0.5,
+                })
+                .faults(FaultPlan {
+                    device: 2,
+                    fail_at_block_row: rows / 2,
+                })
+                .recover(RecoveryPolicy::default())
+                .run()
+        };
+        let a = go();
+        assert!(a.aborted.is_none());
+        let rec = a.report.recovery.as_ref().unwrap();
+        assert!(rec.recoveries >= 1, "{rec:?}");
+        assert!(a.report.rebalance.as_ref().unwrap().evaluations >= 1);
+        // Survivors' rows include the segments they completed before the
+        // fault, not only the rows after the rewind.
+        let resumed = rec.resumed_from_rows[0];
+        let covered: u128 = a.report.devices.iter().map(|d| d.cells).sum();
+        let after_rewind = (MBP - resumed * cfg().block_h) as u128 * MBP as u128;
+        assert!(covered > after_rewind, "{covered} vs {after_rewind}");
+        let sim_ns = a.report.sim_time.unwrap().as_nanos();
+        for d in &a.report.devices {
+            assert_eq!(d.attribution.unwrap().total_ns(), sim_ns);
+        }
+        let b = go();
+        assert_eq!(a.report.sim_time, b.report.sim_time);
+        assert_eq!(a.report.recovery, b.report.recovery);
+        assert_eq!(a.report.rebalance, b.report.rebalance);
+        assert_eq!(a.losses, b.losses);
+        assert_eq!(a.stalls, b.stalls);
     }
 }

@@ -10,9 +10,7 @@
 //! *either* workload through one pipe, so this module introduces:
 //!
 //! * [`JobSpec`] — what to run: a single pair or a batch, each carrying
-//!   its own config/fault overrides. A future `SeedFilterExtend` variant
-//!   (seed-and-extend screening, ROADMAP item 3) is reserved here; it
-//!   will slot in without touching the queue or the HTTP surface.
+//!   its own config/fault overrides.
 //! * [`JobOutcome`] — how one pair fared, regardless of route.
 //! * [`JobReport`] — the common aggregate: outcomes, total cells, wall
 //!   time, throughput, recovery accounting and latency percentiles. A
@@ -91,9 +89,6 @@ pub enum JobSpec {
         config: Option<BatchConfig>,
         faults: Vec<BatchFault>,
     },
-    // A `SeedFilterExtend` variant is deliberately reserved for the
-    // seed-and-extend screening engine (ROADMAP item 3): it will carry a
-    // query set plus filter thresholds and reuse this enum unchanged.
 }
 
 impl JobSpec {

@@ -7,6 +7,7 @@
 //! the result deterministic and exactly proportional up to one block).
 
 use crate::config::PartitionPolicy;
+use crate::stats::RebalanceReport;
 use megasw_gpusim::Platform;
 
 /// One device's share of the matrix.
@@ -178,6 +179,58 @@ pub fn resplit_slabs(n: usize, block_w: usize, devices: &[usize], weights: &[f64
         next_bcol += bc;
     }
     slabs
+}
+
+/// The checkpoint-boundary rebalance controller, shared by both backends.
+/// `rates` is each slab's measured effective throughput over the segment
+/// that just ended at block-row `at_row` (parallel to `slabs`). The
+/// controller predicts the remaining makespan under the current widths
+/// (the laggard, `max width / rate`) and under a split proportional to the
+/// rates (`n / Σ rate`); when the predicted relative improvement clears
+/// `threshold` it re-splits with [`resplit_slabs`]. Every call counts one
+/// evaluation in `report`; a re-split that moves columns also counts a
+/// migration and returns the new slabs.
+pub(crate) fn rebalance(
+    report: &mut RebalanceReport,
+    at_row: usize,
+    slabs: &[Slab],
+    rates: &[f64],
+    n: usize,
+    block_w: usize,
+    threshold: f64,
+) -> Option<Vec<Slab>> {
+    report.evaluations += 1;
+    let t_static = slabs
+        .iter()
+        .zip(rates)
+        .map(|(s, r)| s.width as f64 / r.max(f64::MIN_POSITIVE))
+        .fold(0.0f64, f64::max);
+    let t_balanced = n as f64 / rates.iter().sum::<f64>().max(f64::MIN_POSITIVE);
+    let improvement = 1.0 - t_balanced / t_static.max(f64::MIN_POSITIVE);
+    if improvement >= threshold {
+        let devices: Vec<usize> = slabs.iter().map(|s| s.device).collect();
+        let new_slabs = resplit_slabs(n, block_w, &devices, rates);
+        // Columns changing hands: half the total width delta (every column
+        // lost by one device is gained by another).
+        let moved = new_slabs
+            .iter()
+            .map(|ns| {
+                let old = slabs
+                    .iter()
+                    .find(|s| s.device == ns.device)
+                    .map_or(0, |s| s.width);
+                ns.width.abs_diff(old)
+            })
+            .sum::<usize>()
+            / 2;
+        if moved > 0 {
+            report.migrations += 1;
+            report.moved_columns += moved as u64;
+            report.applied_at_rows.push(at_row);
+            return Some(new_slabs);
+        }
+    }
+    None
 }
 
 /// [`make_slabs`] over the surviving devices only: every device whose

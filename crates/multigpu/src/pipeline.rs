@@ -53,7 +53,8 @@
 //!
 //! ## Observability
 //!
-//! Every run computes a wall-clock [`StallBreakdown`] per device (fill,
+//! Every run computes a wall-clock
+//! [`StallBreakdown`](crate::stats::StallBreakdown) per device (fill,
 //! border-wait, drain — the same accounting the simulator reports), exposed
 //! via [`DeviceReport::stall`]. Attaching a
 //! [`Recorder`](megasw_obs::Recorder) with [`PipelineRun::observer`]
@@ -72,10 +73,9 @@ use crate::checkpoint::{Checkpoint, CheckpointStore, RecoveryPolicy};
 use crate::circbuf::{BorderMsg, CircularBuffer, RingError, RingStats};
 use crate::config::{PruneMode, RebalanceMode, RunConfig};
 use crate::error::MegaswError;
-use crate::partition::{make_slabs, make_slabs_excluding_with_weights, resplit_slabs, Slab};
+use crate::partition::{make_slabs, make_slabs_excluding_with_weights, rebalance, Slab};
 use crate::stats::{
-    DeviceReport, PruningReport, RebalanceReport, RecoveryReport, RunReport, StallAttribution,
-    StallBreakdown,
+    DeviceReport, DeviceTotals, PruningReport, RebalanceReport, RecoveryReport, RunReport,
 };
 use megasw_gpusim::Platform;
 use megasw_obs::{
@@ -438,12 +438,15 @@ impl<'a> PipelineRun<'a> {
         self
     }
 
-    /// Attach a cooperative cancellation token. The run polls it at its
-    /// checkpoint boundaries — before the first attempt, and between
-    /// segments/recovery attempts on the segmented driver — and returns
-    /// [`PipelineError::Cancelled`] once it observes `true`. Workers
-    /// mid-segment finish their segment first: cancellation never tears a
-    /// wave, so the abort is clean and the platform stays reusable.
+    /// Attach a cooperative cancellation token. The run polls it at every
+    /// checkpoint boundary — before the first attempt and between
+    /// attempts — and returns [`PipelineError::Cancelled`] once it observes
+    /// `true`. With a checkpoint cadence configured, a run carrying a token
+    /// is cut into segments of one checkpoint interval, so the token is
+    /// polled at every checkpoint wave; without a cadence it is polled only
+    /// before the run starts. Workers mid-segment finish their segment
+    /// first: cancellation never tears a wave, so the abort is clean and
+    /// the platform stays reusable.
     pub fn cancel(mut self, token: Arc<AtomicBool>) -> Self {
         self.cancel = Some(token);
         self
@@ -451,59 +454,21 @@ impl<'a> PipelineRun<'a> {
 
     /// Execute the run.
     pub fn run(self) -> Result<RunReport, MegaswError> {
-        let flight = self.flight.clone();
-        let dump = self.flight_dump.clone();
-        // A cancellation token needs boundaries to act on: with a
-        // checkpoint cadence configured, drive through the segmented
-        // engine (recovery may still be None) so the token is polled at
-        // every checkpoint boundary instead of only before the run.
-        let segmented_for_cancel = self.recovery.is_none()
-            && self.cancel.is_some()
-            && self.config.policy.checkpoint.rows_interval().is_some();
-        let result = match self.recovery {
-            None if segmented_for_cancel => run_pipeline_segmented(
-                self.a,
-                self.b,
-                self.platform,
-                &self.config,
-                &self.faults,
-                None,
-                self.semantics,
-                &self.observer,
-                self.live.as_ref(),
-                self.flight.as_ref(),
-                self.cancel.as_deref(),
-            )
-            .map_err(MegaswError::from),
-            None => run_pipeline_live(
-                self.a,
-                self.b,
-                self.platform,
-                &self.config,
-                &self.faults,
-                self.semantics,
-                &self.observer,
-                self.live.as_ref(),
-                self.flight.as_ref(),
-                self.cancel.as_deref(),
-            )
-            .map_err(MegaswError::from),
-            Some(policy) => run_pipeline_segmented(
-                self.a,
-                self.b,
-                self.platform,
-                &self.config,
-                &self.faults,
-                Some(policy),
-                self.semantics,
-                &self.observer,
-                self.live.as_ref(),
-                self.flight.as_ref(),
-                self.cancel.as_deref(),
-            )
-            .map_err(MegaswError::from),
-        };
-        if let (Some(fr), Some(path)) = (&flight, &dump) {
+        let result = run_pipeline(
+            self.a,
+            self.b,
+            self.platform,
+            &self.config,
+            &self.faults,
+            self.recovery,
+            self.semantics,
+            &self.observer,
+            self.live.as_ref(),
+            self.flight.as_ref(),
+            self.cancel.as_deref(),
+        )
+        .map_err(MegaswError::from);
+        if let (Some(fr), Some(path)) = (&self.flight, &self.flight_dump) {
             // Best-effort: a failing dump must not mask the run's result.
             let _ = fr.dump_to(path);
         }
@@ -511,119 +476,14 @@ impl<'a> PipelineRun<'a> {
     }
 }
 
+/// What one worker reports after finishing its rows of an attempt.
 struct DevicePartial {
     best: BestCell,
-    /// Matrix cells this worker *covered* (computed or skipped): its slab
-    /// width times the rows it executed. This is what the coverage
-    /// invariant in `assemble_report` sums.
-    cells: u128,
-    /// Cells inside tiles the pruning bound skipped (subset of `cells`).
-    cells_skipped: u128,
-    tiles_pruned: u64,
-    tiles_total: u64,
     /// The worker's final pruning watermark (0 when pruning is off).
     watermark: Score,
-    bytes_sent: u64,
-    /// Kernel-activity envelope in recorder time, for stall accounting.
-    first_kernel_start_ns: u64,
-    last_kernel_end_ns: u64,
-    busy_ns: u64,
-    /// Fine-grained phase clocks for [`StallAttribution`].
-    wait_input_ns: u64,
-    wait_output_ns: u64,
-    checkpoint_ns: u64,
-    prune_skip_ns: u64,
-    simd_rescue_ns: u64,
-    /// SIMD→scalar rescues this worker's thread triggered.
-    simd_rescues: u64,
-}
-
-/// The engine behind the builder, with optional in-flight telemetry. Live
-/// device indices are chain positions (slab
-/// order); indices past the handle's capacity are silently dropped by the
-/// handle itself, so a handle sized for the platform also works when slabs
-/// are dropped on small matrices.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pipeline_live(
-    a: &[u8],
-    b: &[u8],
-    platform: &Platform,
-    config: &RunConfig,
-    faults: &FaultSchedule,
-    semantics: Semantics,
-    obs: &Recorder,
-    live: Option<&Arc<LiveTelemetry>>,
-    flight: Option<&Arc<FlightRecorder>>,
-    cancel: Option<&AtomicBool>,
-) -> Result<RunReport, PipelineError> {
-    config.validate().map_err(PipelineError::InvalidConfig)?;
-    // Rebalance-enabled runs execute in checkpoint-bounded segments; the
-    // segmented driver owns that loop (with no recovery policy attached a
-    // fault still fails fast). This keeps every entry point — the builder
-    // and the stage-1/stage-2 drivers in `stages` — on one code path.
-    if config.policy.rebalance.is_enabled() {
-        return run_pipeline_segmented(
-            a, b, platform, config, faults, None, semantics, obs, live, flight, cancel,
-        );
-    }
-    if cancelled(cancel) {
-        return Err(PipelineError::Cancelled);
-    }
-    let kernel = kernel::select(config.policy.dispatch).map_err(PipelineError::InvalidConfig)?;
-    let selection = KernelSelection {
-        dispatch: config.policy.dispatch,
-        resolved: kernel.id(),
-    };
-    let m = a.len();
-    let n = b.len();
-    let slabs = make_slabs(n, config.block_w, platform, &config.policy.partition);
-    let prune_mode = effective_prune_mode(config, semantics);
-
-    if m == 0 || slabs.is_empty() {
-        return Ok(empty_report(
-            m, n, platform, &slabs, prune_mode, None, None, selection,
-        ));
-    }
-
-    let rows = m.div_ceil(config.block_h);
-    // All stall accounting is relative to this instant, on the recorder's
-    // clock, so spans and the stall envelope share one timebase.
-    let run_start_ns = obs.now_ns();
-    let outcome = run_attempt(AttemptParams {
-        a,
-        b,
-        slabs: &slabs,
-        rows,
-        start_row: 0,
-        stop_row: rows,
-        config,
-        kernel,
-        faults,
-        semantics,
-        obs,
-        live,
-        flight,
-        resume: None,
-        ckpt: None,
-    });
-    let wall_ns = obs.now_ns().saturating_sub(run_start_ns);
-    let partials = collect_attempt(outcome.results).map_err(|f| f.error)?;
-    Ok(assemble_report(
-        m,
-        n,
-        platform,
-        &slabs,
-        &partials,
-        &outcome.ring_stats,
-        wall_ns,
-        run_start_ns,
-        BestCell::ZERO,
-        0,
-        prune_mode,
-        None,
-        None,
-        selection,
-    ))
+    /// The worker's activity in this attempt, in recorder time. `ring_out`
+    /// is left to the driver, which owns the attempt's rings.
+    totals: DeviceTotals,
 }
 
 /// The pruning mode a run actually executes under: the configured mode for
@@ -636,13 +496,18 @@ fn effective_prune_mode(config: &RunConfig, semantics: Semantics) -> PruneMode {
     }
 }
 
-/// The segmented driver behind [`PipelineRun::recover`] and
-/// [`RebalanceMode::On`] — fault recovery and live rebalancing are the same
-/// loop over checkpoint-bounded attempts.
+/// The threaded driver behind [`PipelineRun`] and the alignment stages in
+/// [`crate::stages`]: one loop over checkpoint-bounded attempts.
 ///
 /// Each attempt executes the pipeline from `start_row` up to `stop_row`
-/// over the current slab set while the workers deposit border checkpoints
-/// on the cadence of `config.policy.checkpoint`.
+/// over the current slab set. A plain run is one attempt over every row
+/// with no checkpoint store. Workers deposit border checkpoints on the
+/// cadence of `config.policy.checkpoint` only when something consumes
+/// them:
+///
+/// **Cancellation** (a token and a cadence, rebalancing off): the run is
+/// cut into segments of one checkpoint interval, so the token is polled at
+/// every checkpoint wave.
 ///
 /// **Recovery** (when a policy is attached): on a device fault the failed
 /// device is blacklisted, its columns are repartitioned across the
@@ -650,26 +515,27 @@ fn effective_prune_mode(config: &RunConfig, semantics: Semantics) -> PruneMode {
 /// for `Proportional`, calibrated once per run and cached), the run rewinds
 /// to the newest complete checkpoint wave and resumes from its reassembled
 /// border. Gives up — surfacing the original fault — when the failure
-/// budget is exhausted or no survivor remains.
+/// budget is exhausted or no survivor remains. Without a policy a fault
+/// fails the run.
 ///
 /// **Rebalance** (when `config.policy.rebalance` is on): the run is cut
 /// into segments of `window_waves × checkpoint-interval` block-rows; every
 /// segment boundary lands on the checkpoint cadence, so the boundary wave
-/// is complete the moment the workers join. The controller measures each
-/// device's *effective* throughput over the segment (covered cells — pruned
-/// tiles count at their skip cost — per busy nanosecond), predicts the
-/// remaining makespan under the current widths vs. a proportional re-split,
-/// and when the predicted improvement clears the hysteresis threshold it
-/// migrates block-columns by resuming every worker from the boundary
-/// checkpoint's full-width H/F border wave under new slab geometry. No
+/// is complete the moment the workers join. [`rebalance`] decides from
+/// each device's *effective* throughput over the segment (covered cells —
+/// pruned tiles count at their skip cost — per busy nanosecond); a
+/// migration resumes every worker from the boundary checkpoint's
+/// full-width H/F border wave under new slab geometry. No
 /// block-row is recomputed — the rewind is zero by construction — and
 /// because the checkpointed lanes are exact, scores stay **bit-identical**
 /// to a static split.
 ///
-/// Both mechanisms compose: a fault mid-segment takes the recovery path,
-/// and later boundaries keep rebalancing the survivors.
+/// All three compose: a fault mid-segment takes the recovery path, and
+/// later boundaries keep rebalancing the survivors. Every completed
+/// attempt is added to a per-device [`DeviceTotals`], so the report
+/// accounts for the whole run.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pipeline_segmented(
+pub(crate) fn run_pipeline(
     a: &[u8],
     b: &[u8],
     platform: &Platform,
@@ -688,17 +554,23 @@ pub(crate) fn run_pipeline_segmented(
         dispatch: config.policy.dispatch,
         resolved: kernel.id(),
     };
-    let Some(interval) = config.policy.checkpoint.rows_interval() else {
+    let rb_mode = config.policy.rebalance;
+    let cadence = config.policy.checkpoint.rows_interval();
+    if recovery.is_some() && cadence.is_none() {
         return Err(PipelineError::InvalidConfig(
             "recovery requires a checkpoint cadence (policy.checkpoint must not be Disabled)"
                 .to_string(),
         ));
-    };
+    }
+    // The cadence, kept only when recovery, rebalancing or cancellation
+    // consumes its checkpoints (`validate()` guarantees one exists when
+    // rebalancing is on).
+    let interval =
+        cadence.filter(|_| recovery.is_some() || rb_mode.is_enabled() || cancel.is_some());
     let m = a.len();
     let n = b.len();
     let mut slabs = make_slabs(n, config.block_w, platform, &config.policy.partition);
     let prune_mode = effective_prune_mode(config, semantics);
-    let rb_mode = config.policy.rebalance;
     if m == 0 || slabs.is_empty() {
         return Ok(empty_report(
             m,
@@ -719,37 +591,31 @@ pub(crate) fn run_pipeline_segmented(
     let cells_at = |row: usize| ((row * block_h).min(m) as u128) * n as u128;
     // Segment length in block-rows: a multiple of the checkpoint interval,
     // so every boundary wave is deposited by the regular cadence check.
-    // `Off` runs one segment spanning the whole matrix — unless a
-    // cancellation token is attached, in which case segments shrink to the
-    // checkpoint cadence so the loop-top cancellation check really fires
-    // at every checkpoint boundary rather than once per run.
-    let (rb_threshold, seg_rows) = match rb_mode {
-        RebalanceMode::Off => (
-            f64::INFINITY,
-            if cancel.is_some() {
-                interval.min(rows)
-            } else {
-                rows
-            },
-        ),
-        RebalanceMode::On {
-            threshold,
-            window_waves,
-        } => (threshold, (interval * window_waves).min(rows)),
-    };
+    let seg_rows = match (rb_mode, interval) {
+        (RebalanceMode::On { window_waves, .. }, Some(iv)) => iv * window_waves,
+        (RebalanceMode::Off, Some(iv)) if cancel.is_some() => iv,
+        _ => rows,
+    }
+    .min(rows);
 
-    let store = CheckpointStore::new(n);
+    let store = interval.map(|_| CheckpointStore::new(n));
+    let mut totals = vec![DeviceTotals::default(); platform.len()];
     let mut blacklist: Vec<usize> = Vec::new();
     let mut start_row = 0usize;
     let mut resume: Option<Checkpoint> = None;
     let mut recovery_report = RecoveryReport::default();
     let mut rebalance_report = RebalanceReport::default();
     let mut failures = 0usize;
+    // Cells of failed attempts' rows that a checkpoint preserved: together
+    // with the completed attempts they tile the matrix exactly.
+    let mut preserved_cells: u128 = 0;
     // Calibrated per-device weights for `Proportional` repartitioning:
     // probed at most once per run, then reused by every recovery
     // (re-probing on each attempt was measurable overhead on fault-dense
     // schedules).
     let mut calibrated: Option<Vec<f64>> = None;
+    // All stall accounting is relative to this instant, on the recorder's
+    // clock, so spans and the stall envelope share one timebase.
     let run_start_ns = obs.now_ns();
 
     loop {
@@ -764,9 +630,15 @@ pub(crate) fn run_pipeline_segmented(
         // attempt may start mid-segment after a fault rewind), clamped to
         // the matrix.
         let stop_row = ((start_row / seg_rows + 1) * seg_rows).min(rows);
-        let geoms: Vec<(usize, usize)> = slabs.iter().map(|s| (s.j0, s.width)).collect();
         let base_best = resume.as_ref().map_or(BestCell::ZERO, |c| c.best);
-        let attempt = store.begin_attempt(start_row, base_best, &geoms);
+        let ckpt = store.as_ref().zip(interval).map(|(store, interval)| {
+            let geoms: Vec<(usize, usize)> = slabs.iter().map(|s| (s.j0, s.width)).collect();
+            CkptCtx {
+                store,
+                attempt: store.begin_attempt(start_row, base_best, &geoms),
+                interval,
+            }
+        });
         let outcome = run_attempt(AttemptParams {
             a,
             b,
@@ -782,118 +654,19 @@ pub(crate) fn run_pipeline_segmented(
             live,
             flight,
             resume: resume.as_ref(),
-            ckpt: Some(CkptCtx {
-                store: &store,
-                attempt,
-                interval,
-            }),
+            ckpt,
         });
-        match collect_attempt(outcome.results) {
-            Ok(partials) => {
-                if stop_row >= rows {
-                    let wall_ns = obs.now_ns().saturating_sub(run_start_ns);
-                    recovery_report.checkpoints_taken = store.checkpoints_taken();
-                    return Ok(assemble_report(
-                        m,
-                        n,
-                        platform,
-                        &slabs,
-                        &partials,
-                        &outcome.ring_stats,
-                        wall_ns,
-                        run_start_ns,
-                        base_best,
-                        cells_at(start_row),
-                        prune_mode,
-                        recovery.map(|_| recovery_report),
-                        rb_mode.is_enabled().then_some(rebalance_report),
-                        selection,
-                    ));
-                }
-
-                // Segment boundary: every worker deposited wave `stop_row`
-                // (a cadence multiple below `rows`) and then joined, so the
-                // newest complete checkpoint *is* the boundary — resuming
-                // from it recomputes nothing.
-                let rb_start_ns = obs.now_ns();
-                rebalance_report.evaluations += 1;
-                let rates: Vec<f64> = partials
-                    .iter()
-                    .map(|p| p.cells as f64 / p.busy_ns.max(1) as f64)
-                    .collect();
-                // Predicted time to finish the remaining rows (common
-                // factors dropped): the laggard under current widths vs. a
-                // split proportional to measured throughput.
-                let t_static = slabs
-                    .iter()
-                    .zip(&rates)
-                    .map(|(s, &r)| s.width as f64 / r)
-                    .fold(0.0_f64, f64::max);
-                let t_balanced = n as f64 / rates.iter().sum::<f64>();
-                let improvement = 1.0 - t_balanced / t_static;
-                if improvement >= rb_threshold {
-                    let devices: Vec<usize> = slabs.iter().map(|s| s.device).collect();
-                    let new_slabs = resplit_slabs(n, config.block_w, &devices, &rates);
-                    // Columns changing hands: half the total width delta
-                    // (every column lost by one device is gained by
-                    // another).
-                    let moved = new_slabs
-                        .iter()
-                        .map(|ns| {
-                            let old = slabs
-                                .iter()
-                                .find(|s| s.device == ns.device)
-                                .map_or(0, |s| s.width);
-                            ns.width.abs_diff(old)
-                        })
-                        .sum::<usize>()
-                        / 2;
-                    if moved > 0 {
-                        rebalance_report.migrations += 1;
-                        rebalance_report.moved_columns += moved as u64;
-                        rebalance_report.applied_at_rows.push(stop_row);
-                        slabs = new_slabs;
-                        // Workers have joined, so the coordinator is the
-                        // sole writer on every flight lane here.
-                        if let Some(fr) = flight {
-                            for (s_idx, slab) in slabs.iter().enumerate() {
-                                fr.record(
-                                    s_idx,
-                                    FlightEvent {
-                                        kind: FlightKind::Rebalance,
-                                        device: slab.device as u32,
-                                        row: stop_row as u64,
-                                        t_ns: obs.now_ns(),
-                                        dur_ns: 0,
-                                        aux: slab.width as u64,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                obs.record_since(ObsKind::Rebalance, None, Some(stop_row as u32), rb_start_ns);
-                let ck = store
-                    .newest_complete()
-                    .expect("completed segment deposited its boundary wave");
-                debug_assert_eq!(ck.wave, stop_row, "segment hand-off must be rewind-free");
-                start_row = stop_row;
-                resume = Some(ck);
-            }
+        let partials = match collect_attempt(outcome.results) {
+            Ok(partials) => partials,
             Err(failure) => {
                 // Only device faults are recoverable, and only when a
-                // recovery policy is attached; rebalance-only runs keep
-                // fail-fast fault semantics.
-                let Some(policy) = recovery else {
-                    return Err(failure.error);
-                };
-                let PipelineError::DeviceFault { device, block_row } = failure.error else {
+                // recovery policy is attached.
+                let (Some(policy), &PipelineError::DeviceFault { device, block_row }) =
+                    (recovery, &failure.error)
+                else {
                     return Err(failure.error);
                 };
                 failures += 1;
-                if failures > policy.max_device_failures {
-                    return Err(failure.error);
-                }
                 let rec_start_ns = obs.now_ns();
                 blacklist.push(device);
                 let measured = match &config.policy.partition {
@@ -912,14 +685,15 @@ pub(crate) fn run_pipeline_segmented(
                     &blacklist,
                     measured,
                 );
-                if survivors.is_empty() {
+                if failures > policy.max_device_failures || survivors.is_empty() {
                     return Err(failure.error);
                 }
-                let ck = store.newest_complete();
+                let ck = store.as_ref().and_then(CheckpointStore::newest_complete);
                 let new_start = ck.as_ref().map_or(0, |c| c.wave);
                 // Work lost to the rewind: everything this attempt computed
                 // beyond what the checkpoint wave preserves.
                 let preserved = cells_at(new_start).saturating_sub(cells_at(start_row));
+                preserved_cells += preserved;
                 recovery_report.rewound_cells += failure.cells.saturating_sub(preserved);
                 recovery_report.recoveries += 1;
                 recovery_report.failed_devices.push(device);
@@ -936,8 +710,88 @@ pub(crate) fn run_pipeline_segmented(
                 slabs = survivors;
                 start_row = new_start;
                 resume = ck;
+                continue;
             }
+        };
+        for (s_idx, (slab, p)) in slabs.iter().zip(&partials).enumerate() {
+            let mut attempt = p.totals;
+            attempt.ring_out = outcome.ring_stats.get(s_idx).copied();
+            totals[slab.device].add(&attempt);
         }
+
+        if stop_row >= rows {
+            let wall_ns = obs.now_ns().saturating_sub(run_start_ns);
+            debug_assert_eq!(
+                totals.iter().map(|t| t.cells).sum::<u128>() + preserved_cells,
+                m as u128 * n as u128,
+                "completed attempts plus the checkpointed rows of failed ones must cover the matrix exactly"
+            );
+            recovery_report.checkpoints_taken =
+                store.as_ref().map_or(0, CheckpointStore::checkpoints_taken);
+            return Ok(assemble_report(
+                m,
+                n,
+                platform,
+                &slabs,
+                &partials,
+                &totals,
+                wall_ns,
+                run_start_ns,
+                base_best,
+                prune_mode,
+                recovery.map(|_| recovery_report),
+                rb_mode.is_enabled().then_some(rebalance_report),
+                selection,
+            ));
+        }
+
+        // Segment boundary: every worker deposited wave `stop_row` (a
+        // cadence multiple below `rows`) and then joined, so the newest
+        // complete checkpoint *is* the boundary — resuming from it
+        // recomputes nothing.
+        if let RebalanceMode::On { threshold, .. } = rb_mode {
+            let rb_start_ns = obs.now_ns();
+            let rates: Vec<f64> = partials
+                .iter()
+                .map(|p| p.totals.cells as f64 / p.totals.busy_ns.max(1) as f64)
+                .collect();
+            if let Some(new_slabs) = rebalance(
+                &mut rebalance_report,
+                stop_row,
+                &slabs,
+                &rates,
+                n,
+                config.block_w,
+                threshold,
+            ) {
+                slabs = new_slabs;
+                // Workers have joined, so the coordinator is the sole
+                // writer on every flight lane here.
+                if let Some(fr) = flight {
+                    for (s_idx, slab) in slabs.iter().enumerate() {
+                        fr.record(
+                            s_idx,
+                            FlightEvent {
+                                kind: FlightKind::Rebalance,
+                                device: slab.device as u32,
+                                row: stop_row as u64,
+                                t_ns: obs.now_ns(),
+                                dur_ns: 0,
+                                aux: slab.width as u64,
+                            },
+                        );
+                    }
+                }
+            }
+            obs.record_since(ObsKind::Rebalance, None, Some(stop_row as u32), rb_start_ns);
+        }
+        let ck = store
+            .as_ref()
+            .and_then(CheckpointStore::newest_complete)
+            .expect("completed segment deposited its boundary wave");
+        debug_assert_eq!(ck.wave, stop_row, "segment hand-off must be rewind-free");
+        start_row = stop_row;
+        resume = Some(ck);
     }
 }
 
@@ -946,8 +800,7 @@ fn cancelled(cancel: Option<&AtomicBool>) -> bool {
     cancel.is_some_and(|c| c.load(Ordering::Relaxed))
 }
 
-/// Everything one attempt needs; bundled so the recovery driver and the
-/// fail-fast path share the exact same execution code.
+/// Everything one attempt needs.
 struct AttemptParams<'e> {
     a: &'e [u8],
     b: &'e [u8],
@@ -968,7 +821,7 @@ struct AttemptParams<'e> {
     flight: Option<&'e Arc<FlightRecorder>>,
     /// Checkpoint to resume from (tops are sliced out of its lanes).
     resume: Option<&'e Checkpoint>,
-    /// Where workers deposit checkpoints, when recovery is enabled.
+    /// Where workers deposit checkpoints, when the run keeps a store.
     ckpt: Option<CkptCtx<'e>>,
 }
 
@@ -1097,7 +950,7 @@ fn collect_attempt(
     for r in results {
         match r {
             Ok(part) => {
-                cells += part.cells;
+                cells += part.totals.cells;
                 partials.push(part);
             }
             Err(w) => {
@@ -1123,9 +976,10 @@ fn collect_attempt(
     })
 }
 
-/// Build the final [`RunReport`] from the last (successful) attempt.
-/// `base_best` / `base_cells` are what the resumed-from checkpoint already
-/// established; zero for fault-free runs.
+/// Build the final [`RunReport`]. Device rows, pruning counters and rescue
+/// counts come from `totals`, summed over every completed attempt; the
+/// best cell and watermark lag from the final attempt's `partials`, on top
+/// of `base_best`, which its resume checkpoint established.
 #[allow(clippy::too_many_arguments)]
 fn assemble_report(
     m: usize,
@@ -1133,11 +987,10 @@ fn assemble_report(
     platform: &Platform,
     slabs: &[Slab],
     partials: &[DevicePartial],
-    ring_stats: &[RingStats],
+    totals: &[DeviceTotals],
     wall_ns: u64,
     run_start_ns: u64,
     base_best: BestCell,
-    base_cells: u128,
     prune_mode: PruneMode,
     recovery: Option<RecoveryReport>,
     rebalance: Option<RebalanceReport>,
@@ -1145,16 +998,11 @@ fn assemble_report(
 ) -> RunReport {
     let best = partials.iter().fold(base_best, |acc, p| acc.merge(p.best));
     let total_cells = m as u128 * n as u128;
-    debug_assert_eq!(
-        base_cells + partials.iter().map(|p| p.cells).sum::<u128>(),
-        total_cells,
-        "checkpointed rows plus the final attempt must cover the matrix exactly"
-    );
     let pruning = prune_mode.is_enabled().then(|| PruningReport {
         mode: prune_mode,
-        tiles_pruned: partials.iter().map(|p| p.tiles_pruned).sum(),
-        tiles_total: partials.iter().map(|p| p.tiles_total).sum(),
-        cells_skipped: partials.iter().map(|p| p.cells_skipped).sum(),
+        tiles_pruned: totals.iter().map(|t| t.tiles_pruned).sum(),
+        tiles_total: totals.iter().map(|t| t.tiles_total).sum(),
+        cells_skipped: totals.iter().map(|t| t.cells_skipped).sum(),
         // Worst final watermark lag across workers: how far the slowest
         // watermark trailed the run's true best. Always ≥ 0 — a watermark
         // only ever folds actually-observed scores.
@@ -1166,46 +1014,26 @@ fn assemble_report(
     });
     let wall = Duration::from_nanos(wall_ns);
 
+    // Every device's phases and stall envelope span the whole run's
+    // makespan; the identity startup + input + drain == wall − busy holds
+    // exactly, and time lost to failed attempts lands in `other`.
     let devices = slabs
         .iter()
-        .zip(partials)
-        .enumerate()
-        .map(|(s_idx, (slab, p))| {
-            // Shift the envelope to the run's own epoch; the identity
-            // startup + input + drain == wall − busy holds exactly for
-            // single-attempt runs (recovered runs fold lost attempts into
-            // `startup`).
-            let stall = StallBreakdown::from_envelope(
-                wall_ns,
-                p.first_kernel_start_ns.saturating_sub(run_start_ns),
-                p.last_kernel_end_ns.saturating_sub(run_start_ns),
-                p.busy_ns,
-            );
-            // Phase attribution over the whole run's makespan; for a
-            // recovered run the final attempt's measured phases are what
-            // the survivors did, and the lost attempts land in `other`.
-            let attribution = StallAttribution::from_measured(
-                wall_ns,
-                p.busy_ns,
-                p.wait_input_ns,
-                p.wait_output_ns,
-                p.checkpoint_ns,
-                p.prune_skip_ns,
-                p.simd_rescue_ns,
-            );
+        .map(|slab| {
+            let t = &totals[slab.device];
             DeviceReport {
                 device: slab.device,
                 name: platform.devices[slab.device].name.clone(),
                 slab_j0: slab.j0,
                 slab_width: slab.width,
-                cells: p.cells,
-                bytes_sent: p.bytes_sent,
-                ring_out: ring_stats.get(s_idx).copied(),
-                wall_busy: Some(Duration::from_nanos(p.busy_ns)),
+                cells: t.cells,
+                bytes_sent: t.bytes_sent,
+                ring_out: t.ring_out,
+                wall_busy: Some(Duration::from_nanos(t.busy_ns)),
                 sim_busy: None,
                 sim_utilization: None,
-                stall: Some(stall),
-                attribution: Some(attribution),
+                stall: Some(t.stall(run_start_ns, wall_ns)),
+                attribution: Some(t.attribution(wall_ns)),
             }
         })
         .collect();
@@ -1223,7 +1051,7 @@ fn assemble_report(
         recovery,
         rebalance,
         kernel,
-        simd_rescues: partials.iter().map(|p| p.simd_rescues).sum(),
+        simd_rescues: totals.iter().map(|t| t.simd_rescues).sum(),
     }
 }
 
@@ -1316,21 +1144,10 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
             .collect(),
     };
     let mut best = BestCell::ZERO;
-    let mut cells: u128 = 0;
-    let mut cells_skipped: u128 = 0;
-    let mut tiles_pruned: u64 = 0;
-    let mut tiles_total: u64 = 0;
-    let mut bytes_sent: u64 = 0;
-    let mut first_kernel_start_ns: Option<u64> = None;
-    let mut last_kernel_end_ns: u64 = 0;
-    let mut busy_ns: u64 = 0;
-    // Fine-grained phase clocks (StallAttribution). Rescue time is read
-    // from the kernel crate's thread-local counters — this worker owns its
-    // thread, so the deltas are exactly its own rescues.
-    let mut wait_input_ns: u64 = 0;
-    let mut wait_output_ns: u64 = 0;
-    let mut checkpoint_ns: u64 = 0;
-    let mut prune_skip_ns: u64 = 0;
+    // Cells covered, phase clocks and the kernel-activity envelope. Rescue
+    // time is read from the kernel crate's thread-local counters — this
+    // worker owns its thread, so the deltas are exactly its own rescues.
+    let mut totals = DeviceTotals::default();
     let rescues_base = kernel::simd_rescues_thread();
     let rescue_ns_base = kernel::simd_rescue_ns_thread();
     // One flight-recorder append per step; ~70 ns each, only when a
@@ -1400,7 +1217,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         fly(FlightKind::RowStart, r as u64, obs.now_ns(), 0, 0);
 
         if faults.fires(slab.device, r, FaultPhase::RingPop) {
-            return Err(die(cells, r));
+            return Err(die(totals.cells, r));
         }
 
         // Under distributed pruning, fold the shared global watermark once
@@ -1420,7 +1237,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                 let popped = ring.pop();
                 let wait_end = obs.now_ns().max(wait_start);
                 obs.record_since(ObsKind::RingPopWait, Some(lane), Some(row), wait_start);
-                wait_input_ns += wait_end - wait_start;
+                totals.wait_input_ns += wait_end - wait_start;
                 if let Some(live) = live {
                     live.on_phase_ns(s_idx, StallPhase::WaitInput, wait_end - wait_start);
                 }
@@ -1447,20 +1264,20 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                     }
                     // Closed-early and poisoned both mean a neighbour died.
                     Ok(None) | Err(RingError::Closed) | Err(RingError::Poisoned) => {
-                        return Err(poisoned(cells, r));
+                        return Err(poisoned(totals.cells, r));
                     }
                 }
             }
         };
 
         if faults.fires(slab.device, r, FaultPhase::Compute) {
-            return Err(die(cells, r));
+            return Err(die(totals.cells, r));
         }
 
         let kernel_start = obs.now_ns();
         for (c, &(jc0, wc)) in cols.iter().enumerate() {
             let covered = height as u128 * wc as u128;
-            tiles_total += 1;
+            totals.tiles_total += 1;
             if prune_mode.is_enabled() {
                 let incoming_max = tops[c].max_h().max(left.max_h());
                 let bound = prune_bound(incoming_max, m, n, i0, jc0, &config.scheme);
@@ -1474,7 +1291,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                     let skip_start = obs.now_ns();
                     let out = skip_block(height, wc);
                     let skip_ns = obs.now_ns().max(skip_start) - skip_start;
-                    prune_skip_ns += skip_ns;
+                    totals.prune_skip_ns += skip_ns;
                     if let Some(live) = live {
                         live.on_phase_ns(s_idx, StallPhase::PruneSkip, skip_ns);
                     }
@@ -1487,9 +1304,9 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                     );
                     tops[c] = out.bottom;
                     left = out.right;
-                    tiles_pruned += 1;
-                    cells_skipped += covered;
-                    cells += covered; // covered, not computed: coverage accounting
+                    totals.tiles_pruned += 1;
+                    totals.cells_skipped += covered;
+                    totals.cells += covered; // covered, not computed: coverage accounting
                     continue;
                 }
                 // Borders from pruned neighbours may disagree at the shared
@@ -1510,7 +1327,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                 Semantics::Anchored => kernel.block_anchored(input, &config.scheme),
             };
             best = best.merge(out.best);
-            cells += out.cells as u128;
+            totals.cells += out.cells as u128;
             tops[c] = out.bottom;
             left = out.right;
         }
@@ -1525,9 +1342,9 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
             start_ns: kernel_start,
             end_ns: kernel_end,
         });
-        first_kernel_start_ns.get_or_insert(kernel_start);
-        last_kernel_end_ns = kernel_end;
-        busy_ns += kernel_end - kernel_start;
+        totals.first_kernel_start_ns.get_or_insert(kernel_start);
+        totals.last_kernel_end_ns = kernel_end;
+        totals.busy_ns += kernel_end - kernel_start;
         fly(
             FlightKind::Compute,
             r as u64,
@@ -1545,8 +1362,8 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                 live.on_prune_update(
                     s_idx,
                     watermark,
-                    tiles_pruned,
-                    u64::try_from(cells_skipped).unwrap_or(u64::MAX),
+                    totals.tiles_pruned,
+                    u64::try_from(totals.cells_skipped).unwrap_or(u64::MAX),
                 );
             }
         }
@@ -1573,7 +1390,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                 ck.store
                     .record(ck.attempt, wave, s_idx, &ck_h, &ck_f, best, watermark);
                 let ckpt_ns = obs.now_ns().max(ckpt_start) - ckpt_start;
-                checkpoint_ns += ckpt_ns;
+                totals.checkpoint_ns += ckpt_ns;
                 if let Some(live) = live {
                     live.on_phase_ns(s_idx, StallPhase::Checkpoint, ckpt_ns);
                 }
@@ -1588,11 +1405,11 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         }
 
         if faults.fires(slab.device, r, FaultPhase::RingPush) {
-            return Err(die(cells, r));
+            return Err(die(totals.cells, r));
         }
 
         if let Some(ring) = ring_out {
-            bytes_sent += left.transfer_bytes() as u64;
+            totals.bytes_sent += left.transfer_bytes() as u64;
             let push_start = obs.now_ns();
             // The watermark piggybacks on the border hand-off: zero extra
             // messages, and the right neighbour folds it before its next row.
@@ -1602,7 +1419,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
             });
             let push_end = obs.now_ns().max(push_start);
             obs.record_since(ObsKind::RingPush, Some(lane), Some(row), push_start);
-            wait_output_ns += push_end - push_start;
+            totals.wait_output_ns += push_end - push_start;
             if let Some(live) = live {
                 live.on_phase_ns(s_idx, StallPhase::WaitOutput, push_end - push_start);
             }
@@ -1614,12 +1431,12 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                 0,
             );
             if pushed.is_err() {
-                return Err(poisoned(cells, r));
+                return Err(poisoned(totals.cells, r));
             }
         }
 
         if faults.fires(slab.device, r, FaultPhase::Transfer) {
-            return Err(die(cells, r));
+            return Err(die(totals.cells, r));
         }
     }
 
@@ -1627,23 +1444,12 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         ring.close();
     }
 
+    totals.simd_rescue_ns = kernel::simd_rescue_ns_thread().saturating_sub(rescue_ns_base);
+    totals.simd_rescues = kernel::simd_rescues_thread().saturating_sub(rescues_base);
     Ok(DevicePartial {
         best,
-        cells,
-        cells_skipped,
-        tiles_pruned,
-        tiles_total,
         watermark,
-        bytes_sent,
-        first_kernel_start_ns: first_kernel_start_ns.unwrap_or(0),
-        last_kernel_end_ns,
-        busy_ns,
-        wait_input_ns,
-        wait_output_ns,
-        checkpoint_ns,
-        prune_skip_ns,
-        simd_rescue_ns: kernel::simd_rescue_ns_thread().saturating_sub(rescue_ns_base),
-        simd_rescues: kernel::simd_rescues_thread().saturating_sub(rescues_base),
+        totals,
     })
 }
 
@@ -2437,7 +2243,7 @@ mod tests {
         let rb = report.rebalance.expect("enabled rebalance reports");
         assert!(rb.evaluations > 0, "segment boundaries were evaluated");
         assert_eq!(rb.migrations as usize, rb.applied_at_rows.len());
-        // Coverage accounting: checkpointed base + final segment == total.
+        // The report covers the whole matrix, not only the last segment.
         assert_eq!(report.total_cells, 3_000u128 * b.len() as u128);
         // Off runs don't grow a rebalance report.
         let off = run_local(
@@ -2512,6 +2318,98 @@ mod tests {
             .collect();
         assert!(!rebalances.is_empty());
         assert!(rebalances.iter().all(|e| e.aux > 0 && e.dur_ns == 0));
+    }
+
+    /// The whole-run identities: device cells tile the matrix, and every
+    /// device's phases and stall envelope span the run's makespan.
+    fn assert_whole_run_accounting(report: &RunReport) {
+        let covered: u128 = report.devices.iter().map(|d| d.cells).sum();
+        assert_eq!(
+            covered, report.total_cells,
+            "device cells must tile the matrix"
+        );
+        let wall_ns = report.wall_time.unwrap().as_nanos() as u64;
+        for d in &report.devices {
+            let attr = d.attribution.unwrap();
+            assert_eq!(attr.total_ns(), wall_ns, "device {}: {attr}", d.device);
+            let busy_ns = d.wall_busy.unwrap().as_nanos() as u64;
+            assert_eq!(d.stall.unwrap().total().as_nanos(), wall_ns - busy_ns);
+        }
+    }
+
+    #[test]
+    fn segmented_runs_account_for_every_segment() {
+        use crate::config::RebalanceMode;
+        let (a, b) = pair(3_000, 43);
+        let truth = rolling_best(a.codes(), b.codes(), &megasw_sw::ScoreScheme::cudalign());
+        let cadence = RunConfig::test_default().with_checkpoint(CheckpointCadence::EveryRows(2));
+        let rows = 3_000usize.div_ceil(cadence.block_h);
+
+        // A rebalanced run: several segments, columns migrating between them.
+        let rebalanced = run_local(
+            a.codes(),
+            b.codes(),
+            &Platform::env2(),
+            cadence.clone().with_rebalance(RebalanceMode::On {
+                threshold: 0.0,
+                window_waves: 2,
+            }),
+        );
+        assert_eq!(rebalanced.best, truth);
+        assert!(rebalanced.rebalance.as_ref().unwrap().evaluations >= 2);
+        assert_whole_run_accounting(&rebalanced);
+
+        // A cancel token with a cadence (the service's path): one segment
+        // per checkpoint interval, every border still handed over.
+        let cancellable = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
+            .config(cadence)
+            .cancel(Arc::new(AtomicBool::new(false)))
+            .run()
+            .unwrap();
+        assert_eq!(cancellable.best, truth);
+        assert_whole_run_accounting(&cancellable);
+        let ring = cancellable.devices[0].ring_out.unwrap();
+        assert_eq!(ring.pushed, rows as u64, "ring stats span every segment");
+    }
+
+    #[test]
+    fn recovered_survivors_keep_their_completed_segments() {
+        // Segments of two rows; device 1 dies inside the fifth segment, so
+        // the survivors completed rows 0..8 on the original split and the
+        // rest on the repartitioned one.
+        let (a, b) = pair(3_000, 44);
+        let cfg = RunConfig::test_default().with_checkpoint(CheckpointCadence::EveryRows(2));
+        let block_h = cfg.block_h;
+        let original = run_local(a.codes(), b.codes(), &Platform::env2(), cfg.clone());
+        let report = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
+            .config(cfg)
+            .cancel(Arc::new(AtomicBool::new(false)))
+            .faults(FaultPlan {
+                device: 1,
+                fail_at_block_row: 9,
+            })
+            .recover(RecoveryPolicy::default())
+            .run()
+            .unwrap();
+        assert_eq!(report.best, original.best);
+        let resumed = report.recovery.as_ref().unwrap().resumed_from_rows[0];
+        assert_eq!(resumed, 8, "the fault's own segment starts at row 8");
+        let split = (resumed * block_h) as u128;
+        let wall_ns = report.wall_time.unwrap().as_nanos() as u64;
+        for d in &report.devices {
+            let before = original
+                .devices
+                .iter()
+                .find(|o| o.device == d.device)
+                .unwrap();
+            assert_eq!(
+                d.cells,
+                split * before.slab_width as u128 + (3_000 - split) * d.slab_width as u128,
+                "device {}",
+                d.device
+            );
+            assert_eq!(d.attribution.unwrap().total_ns(), wall_ns);
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! [`megasw_sw::traceback::local_align`].
 
 use crate::config::RunConfig;
-use crate::pipeline::{run_pipeline_live, FaultSchedule, PipelineError, Semantics};
+use crate::pipeline::{run_pipeline, FaultSchedule, PipelineError, Semantics};
 use megasw_gpusim::Platform;
 use megasw_obs::{LiveTelemetry, ObsKind, Recorder};
 use megasw_sw::traceback::{myers_miller, score_of_ops, LocalAlignment};
@@ -77,12 +77,13 @@ pub fn multigpu_local_align_live(
 
     // Stage 1: forward local pipeline.
     let t0 = std::time::Instant::now();
-    let stage1 = run_pipeline_live(
+    let stage1 = run_pipeline(
         a,
         b,
         platform,
         config,
         &FaultSchedule::default(),
+        None,
         Semantics::Local,
         obs,
         live,
@@ -100,12 +101,13 @@ pub fn multigpu_local_align_live(
     let t0 = std::time::Instant::now();
     let ar: Vec<u8> = a[..ie].iter().rev().copied().collect();
     let br: Vec<u8> = b[..je].iter().rev().copied().collect();
-    let stage2 = run_pipeline_live(
+    let stage2 = run_pipeline(
         &ar,
         &br,
         platform,
         config,
         &FaultSchedule::default(),
+        None,
         Semantics::Anchored,
         obs,
         live,

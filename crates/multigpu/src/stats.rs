@@ -194,6 +194,90 @@ impl std::fmt::Display for StallAttribution {
     }
 }
 
+/// One device's activity summed over every attempt of a run that
+/// completed — the per-device accumulator both backends keep, keyed by
+/// platform device index, so a segmented, rebalanced or recovered run
+/// reports its whole makespan rather than its last attempt. Work done in
+/// failed attempts is never added, so its time lands in `other`. Times are
+/// nanoseconds on the backend's clock (recorder time for the threaded
+/// pipeline, cumulative simulated time for the DES); the pruning, rescue
+/// and ring counters stay zero on the DES.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DeviceTotals {
+    /// Matrix cells covered (computed or skipped).
+    pub(crate) cells: u128,
+    pub(crate) bytes_sent: u64,
+    pub(crate) busy_ns: u64,
+    pub(crate) wait_input_ns: u64,
+    pub(crate) wait_output_ns: u64,
+    pub(crate) checkpoint_ns: u64,
+    pub(crate) prune_skip_ns: u64,
+    pub(crate) simd_rescue_ns: u64,
+    pub(crate) first_kernel_start_ns: Option<u64>,
+    pub(crate) last_kernel_end_ns: u64,
+    pub(crate) tiles_pruned: u64,
+    pub(crate) tiles_total: u64,
+    /// Cells inside tiles the pruning bound skipped (subset of `cells`).
+    pub(crate) cells_skipped: u128,
+    pub(crate) simd_rescues: u64,
+    /// The rings this device fed, merged across attempts.
+    pub(crate) ring_out: Option<RingStats>,
+}
+
+impl DeviceTotals {
+    /// Add one completed attempt of the same device.
+    pub(crate) fn add(&mut self, attempt: &DeviceTotals) {
+        self.cells += attempt.cells;
+        self.bytes_sent += attempt.bytes_sent;
+        self.busy_ns += attempt.busy_ns;
+        self.wait_input_ns += attempt.wait_input_ns;
+        self.wait_output_ns += attempt.wait_output_ns;
+        self.checkpoint_ns += attempt.checkpoint_ns;
+        self.prune_skip_ns += attempt.prune_skip_ns;
+        self.simd_rescue_ns += attempt.simd_rescue_ns;
+        self.first_kernel_start_ns = self
+            .first_kernel_start_ns
+            .into_iter()
+            .chain(attempt.first_kernel_start_ns)
+            .min();
+        self.last_kernel_end_ns = self.last_kernel_end_ns.max(attempt.last_kernel_end_ns);
+        self.tiles_pruned += attempt.tiles_pruned;
+        self.tiles_total += attempt.tiles_total;
+        self.cells_skipped += attempt.cells_skipped;
+        self.simd_rescues += attempt.simd_rescues;
+        self.ring_out = match (self.ring_out, attempt.ring_out) {
+            (Some(a), Some(b)) => Some(a.merged(b)),
+            (a, b) => a.or(b),
+        };
+    }
+
+    /// The kernel-activity envelope over a run of `total_ns` that started
+    /// at `epoch_ns`.
+    pub(crate) fn stall(&self, epoch_ns: u64, total_ns: u64) -> StallBreakdown {
+        StallBreakdown::from_envelope(
+            total_ns,
+            self.first_kernel_start_ns
+                .unwrap_or(0)
+                .saturating_sub(epoch_ns),
+            self.last_kernel_end_ns.saturating_sub(epoch_ns),
+            self.busy_ns,
+        )
+    }
+
+    /// The phase attribution over a makespan of `total_ns`.
+    pub(crate) fn attribution(&self, total_ns: u64) -> StallAttribution {
+        StallAttribution::from_measured(
+            total_ns,
+            self.busy_ns,
+            self.wait_input_ns,
+            self.wait_output_ns,
+            self.checkpoint_ns,
+            self.prune_skip_ns,
+            self.simd_rescue_ns,
+        )
+    }
+}
+
 /// Per-device section of a [`RunReport`].
 #[derive(Debug, Clone)]
 pub struct DeviceReport {
@@ -311,9 +395,11 @@ pub struct RunReport {
     pub sim_time: Option<SimTime>,
     /// Simulated GCUPS — the paper-comparable number.
     pub gcups_sim: Option<f64>,
-    /// Per-device details, in chain order. After a recovery these describe
-    /// the final (surviving) chain and the cells each survivor computed in
-    /// the final attempt.
+    /// Per-device details of the final (surviving) chain, in chain order.
+    /// Each row covers the device's whole run: its cells, busy time, phase
+    /// clocks and stall envelope are summed over every attempt that
+    /// completed (every segment of a rebalanced or cancellable run), and
+    /// the time of failed attempts lands in `other`.
     pub devices: Vec<DeviceReport>,
     /// Block-pruning accounting; `None` unless the run executed with
     /// pruning enabled.

@@ -53,11 +53,19 @@ impl Value {
     }
 }
 
-/// Parse a complete JSON document. Trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap bounds its stack use: without it a body of
+/// a few hundred kilobytes of `[` overflows the stack and aborts the
+/// process instead of returning an error.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document. Trailing non-whitespace and nesting
+/// deeper than [`MAX_DEPTH`] are errors.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -71,6 +79,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -107,8 +117,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -361,5 +385,19 @@ mod tests {
     fn duplicate_keys_keep_last() {
         let v = parse(r#"{"k": 1, "k": 2}"#).unwrap();
         assert_eq!(v.get("k").unwrap().as_f64(), Some(2.0));
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        let over = format!("[{at_cap}]");
+        let err = parse(&over).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // A 100 000-byte run of `[` is an error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(100_000)).is_err());
     }
 }

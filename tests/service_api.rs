@@ -331,6 +331,22 @@ fn events_endpoint_streams_parseable_ndjson_to_completion() {
     })
 }
 
+/// A deeply nested body is a client error, not a crash: `POST /jobs`
+/// with 100 000 `[` answers 400 and the service keeps serving.
+#[test]
+fn deeply_nested_json_body_is_rejected_and_the_service_survives() {
+    with_deadline("service_api::nested_json", Duration::from_secs(300), || {
+        let (service, server, addr) = serve();
+        let (head, body) = http_post(&addr, "/jobs", &"[".repeat(100_000)).expect("POST /jobs");
+        assert!(head.starts_with("HTTP/1.1 400"), "{head}: {body}");
+        let (head, _) = http_get(&addr, "/health").expect("GET /health");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+
+        server.shutdown();
+        drop(service);
+    })
+}
+
 /// Priorities submitted over HTTP reorder the queue: while one job runs,
 /// a later high-priority submission overtakes an earlier low-priority one.
 #[test]
