@@ -300,6 +300,27 @@ for run in compare simulate; do
 done
 rm -f /tmp/ci_ah.fa /tmp/ci_ac.fa
 
+# DES event-stream pin: the simulator replays its schedule through the same
+# probe as the threaded workers, and its Chrome trace is that event stream.
+# The hashes were recorded from the simulator before the probe existed, so
+# any drift in what the DES emits (spans, order, simulated timestamps) —
+# plain, recovered or rebalanced — fails here.
+while read -r want args; do
+    # shellcheck disable=SC2086 # $args is a flag list
+    ./target/release/megasw simulate --env2 --m 200000 --n 200000 $args \
+        --trace-out /tmp/ci_des_trace.json >/dev/null
+    got=$(sha256sum /tmp/ci_des_trace.json | cut -d' ' -f1)
+    if [ "$got" != "$want" ]; then
+        echo "ci: FAIL — DES trace for '$args' hashes to $got (want $want)" >&2
+        exit 1
+    fi
+done <<'PINS'
+d48ede417154a65ab40bc4c1559c7eaf0d07048a3c430dc1773f6cadfcaa7f86
+b8d75f87fd6f5e16efa16ca0e5a3e3748bfc57e151693efe013b0e82b5ccb557 --fault 1:100 --recover --checkpoint-rows 8
+230e9a1a454d9808252ad48ae9b426c1a143ebfce6b31f59502c5ac9af2bcf02 --rebalance on --drift 0:150:0.5 --checkpoint-rows 2
+PINS
+rm -f /tmp/ci_des_trace.json
+
 # Flight-recorder smoke: a faulted compare must leave a JSONL black box
 # with the fault event on the failed device's lane.
 ./target/release/megasw generate --length 60000 --seed 11 \

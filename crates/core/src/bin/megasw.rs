@@ -16,6 +16,7 @@
 use megasw::gpusim::trace::render_gantt;
 use megasw::multigpu::autotune::autotune;
 use megasw::multigpu::stages::multigpu_local_align_live;
+use megasw::multigpu::Sinks;
 use megasw::prelude::*;
 use megasw::seq::fasta::{read_single_fasta, write_fasta, FastaRecord};
 use std::fs::File;
@@ -414,15 +415,14 @@ fn cmd_align(mut args: ArgStream) -> Result<(), String> {
         (a.seq.len() as u64).saturating_mul(b.seq.len() as u64),
     );
     let sampler = obs_opts.spawn_progress(&live);
-    let (aln, times) = multigpu_local_align_live(
-        a.seq.codes(),
-        b.seq.codes(),
-        &platform,
-        &config,
-        &obs,
-        Some(&live),
-    )
-    .map_err(|e| e.to_string())?;
+    let sinks = Sinks {
+        obs: obs.clone(),
+        live: Some(Arc::clone(&live)),
+        flight: None,
+    };
+    let (aln, times) =
+        multigpu_local_align_live(a.seq.codes(), b.seq.codes(), &platform, &config, &sinks)
+            .map_err(|e| e.to_string())?;
     finish_progress(sampler);
     obs_opts.export(&obs, &platform)?;
     if aln.is_empty() {

@@ -91,7 +91,7 @@ pub mod prelude {
     };
     pub use megasw_multigpu::service::{AlignService, JobState, JobStatus, ServiceConfig};
     pub use megasw_multigpu::stages::{
-        multigpu_local_align, multigpu_local_align_live, multigpu_local_align_observed, StageTimes,
+        multigpu_local_align, multigpu_local_align_live, StageTimes,
     };
     pub use megasw_multigpu::stats::{
         DeviceReport, PruningReport, RebalanceReport, RecoveryReport, StallAttribution,
@@ -106,7 +106,7 @@ pub mod prelude {
         render_progress_line, validate as validate_trace, DeviceSnapshot, FlightEvent, FlightKind,
         FlightRecorder, Handler, LiveSnapshot, LiveTelemetry, MetricsHub, MetricsRegistry,
         MetricsServer, ObsKind, ObsLevel, ObsSpan, ProgressSampler, Recorder, Request, Response,
-        RingGauge, StallPhase,
+        RingGauge,
     };
     pub use megasw_seq::{
         ChromosomeGenerator, ChromosomePair, DivergenceModel, DnaSeq, GenerateConfig, Nucleotide,

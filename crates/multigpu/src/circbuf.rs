@@ -444,7 +444,9 @@ mod tests {
             let ring = ring.clone();
             std::thread::spawn(move || ring.push(1))
         };
-        std::thread::sleep(Duration::from_millis(30));
+        // Poison only once the producer is parked on the full ring, so the
+        // test exercises the wake-up rather than poison-before-push.
+        wait_until_blocked(|| ring.stats().producer_blocks);
         ring.poison();
         assert_eq!(producer.join().unwrap(), Err(RingError::Poisoned));
     }
@@ -456,7 +458,8 @@ mod tests {
             let ring = ring.clone();
             std::thread::spawn(move || ring.pop())
         };
-        std::thread::sleep(Duration::from_millis(30));
+        // Poison only once the consumer is parked on the empty ring.
+        wait_until_blocked(|| ring.stats().consumer_blocks);
         ring.poison();
         assert_eq!(consumer.join().unwrap(), Err(RingError::Poisoned));
     }

@@ -33,13 +33,15 @@ use crate::checkpoint::RecoveryPolicy;
 use crate::config::{PartitionPolicy, PruneMode, RebalanceMode, RunConfig};
 use crate::partition::{make_slabs, make_slabs_excluding_with_weights, rebalance, Slab};
 use crate::pipeline::{FaultPhase, FaultSchedule, PipelineError};
+use crate::probe::{Event, Probe, Sinks};
 use crate::stats::{
     DeviceReport, DeviceTotals, PruningReport, RebalanceReport, RecoveryReport, RunReport,
 };
 use megasw_gpusim::{
     ClockDrift, KernelModel, Platform, ResourceId, Schedule, SimTime, SpanKind, TaskId,
 };
-use megasw_obs::{LiveTelemetry, ObsKind, ObsSpan, Recorder, StallPhase};
+use megasw_obs::{LiveTelemetry, Recorder};
+use megasw_sw::cell::Score;
 use std::sync::Arc;
 
 // The stall accounting moved to `stats` so both backends share one type;
@@ -109,8 +111,7 @@ pub struct DesSim<'a> {
     bulk: bool,
     faults: FaultSchedule,
     recovery: Option<RecoveryPolicy>,
-    observer: Recorder,
-    live: Option<Arc<LiveTelemetry>>,
+    sinks: Sinks,
     identity: f64,
     drifts: Vec<ClockDrift>,
 }
@@ -127,8 +128,7 @@ impl<'a> DesSim<'a> {
             bulk: false,
             faults: FaultSchedule::default(),
             recovery: None,
-            observer: Recorder::disabled(),
-            live: None,
+            sinks: Sinks::default(),
             identity: 0.25,
             drifts: Vec::new(),
         }
@@ -172,7 +172,7 @@ impl<'a> DesSim<'a> {
     /// Attach a span recorder; the simulator records `Kernel` and
     /// `BorderXfer` spans with **simulated-time** timestamps.
     pub fn observer(mut self, observer: Recorder) -> Self {
-        self.observer = observer;
+        self.sinks.obs = observer;
         self
     }
 
@@ -198,15 +198,15 @@ impl<'a> DesSim<'a> {
     }
 
     /// Attach in-flight telemetry. Build the handle with
-    /// [`LiveTelemetry::with_manual_clock`]: the simulator replays kernel
-    /// completions in simulated-finish order, advancing the manual clock at
-    /// each simulated-time boundary, so sampled GCUPS read in simulated
-    /// seconds like the rest of the DES reporting. (The schedule solve
-    /// itself is instantaneous; replay happens right after, which still
-    /// exercises exactly the sampler/renderer path the threaded backend
-    /// uses.)
+    /// [`LiveTelemetry::with_manual_clock`] and size it for the whole
+    /// platform: lanes are platform device indices. Each completed
+    /// attempt's schedule is replayed through the same probe the threaded
+    /// workers report to, lane by lane, and every event advances the
+    /// (monotone) manual clock to its simulated end, so the final snapshot
+    /// reads in simulated seconds like the rest of the DES reporting. (The
+    /// schedule solve itself is instantaneous; replay happens right after.)
     pub fn live(mut self, live: Arc<LiveTelemetry>) -> Self {
-        self.live = Some(live);
+        self.sinks.live = Some(live);
         self
     }
 
@@ -228,8 +228,7 @@ impl<'a> DesSim<'a> {
             n: self.n,
             platform: self.platform,
             config: &self.config,
-            obs: &self.observer,
-            live: self.live.as_ref(),
+            sinks: &self.sinks,
             // The bulk baseline never prunes: its whole-slab kernels have
             // no per-tile skip to model.
             prune_mode: if self.bulk {
@@ -280,8 +279,7 @@ struct DesEnv<'a> {
     n: usize,
     platform: &'a Platform,
     config: &'a RunConfig,
-    obs: &'a Recorder,
-    live: Option<&'a Arc<LiveTelemetry>>,
+    sinks: &'a Sinks,
     /// Effective pruning mode ([`PruneMode::Off`] for the bulk baseline).
     prune_mode: PruneMode,
     /// Modeled sequence identity feeding the pruning mirror.
@@ -295,7 +293,6 @@ struct DesEnv<'a> {
 #[derive(Debug, Default, Clone, Copy)]
 struct RowPrune {
     pruned_tiles: u64,
-    total_tiles: u64,
     /// Cells of tiles that still run (what the kernel duration models).
     computed_cells: u64,
     /// Cells covered by skipped tiles.
@@ -404,7 +401,6 @@ impl<'a> PruneModel<'a> {
         let mut j = slab.j0;
         while j < slab.j_end() {
             let w = self.block_w.min(slab.j_end() - j);
-            out.total_tiles += 1;
             let near_diag = j <= band_hi && j + w > band_lo;
             let remaining = (self.m - (i0 - 1)).min(self.n - (j - 1)) as f64;
             if !near_diag && self.match_score * remaining < wm {
@@ -419,30 +415,15 @@ impl<'a> PruneModel<'a> {
         out
     }
 
-    /// Run-level totals plus the modeled watermark lag.
-    fn report(&self) -> PruningReport {
+    /// How far the slowest slab's final modeled watermark lags the modeled
+    /// best score.
+    fn watermark_lag(&self) -> i64 {
         let rows = self.m.div_ceil(self.block_h);
-        let mut tiles_pruned = 0u64;
-        let mut tiles_total = 0u64;
-        let mut cells_skipped = 0u128;
-        let mut min_wm = f64::INFINITY;
-        for s in 0..self.slabs.len() {
-            for r in 0..rows {
-                let rp = self.row(s, r);
-                tiles_pruned += rp.pruned_tiles;
-                tiles_total += rp.total_tiles;
-                cells_skipped += rp.skipped_cells as u128;
-            }
-            min_wm = min_wm.min(self.watermark(s, rows));
-        }
+        let min_wm = (0..self.slabs.len())
+            .map(|s| self.watermark(s, rows))
+            .fold(f64::INFINITY, f64::min);
         let best = self.per_base * self.m.min(self.n) as f64;
-        PruningReport {
-            mode: self.mode,
-            tiles_pruned,
-            tiles_total,
-            cells_skipped,
-            watermark_lag: (best - min_wm).max(0.0).round() as i64,
-        }
+        (best - min_wm).max(0.0).round() as i64
     }
 }
 
@@ -764,6 +745,8 @@ fn simulate(
     let mut losses: Vec<DeviceLossEvent> = Vec::new();
     // Probed once, reused across every repartition of this run.
     let mut calibrated: Option<Vec<f64>> = None;
+    // Recoveries and rebalances reach the sinks through this probe.
+    let mut coordinator = Probe::coordinator(env.sinks);
 
     loop {
         let stop_row = ((start_row / seg_rows + 1) * seg_rows).min(rows);
@@ -836,19 +819,8 @@ fn simulate(
             recovery.recoveries += 1;
             recovery.failed_devices.push(device);
             recovery.resumed_from_rows.push(new_start);
-            if let Some(live) = env.live {
-                live.on_recovery();
-            }
-            if env.obs.is_enabled() {
-                let at = (offset + t_fail).as_nanos();
-                env.obs.record(ObsSpan {
-                    kind: ObsKind::Recovery,
-                    device: Some(device as u32),
-                    block_row: Some(block_row as u32),
-                    start_ns: at,
-                    end_ns: at,
-                });
-            }
+            let at = (offset + t_fail).as_nanos();
+            coordinator.emit(Event::Recovery { device }, block_row, at, at);
             offset += t_fail;
             cur = survivors;
             start_row = new_start;
@@ -901,16 +873,10 @@ fn simulate(
                 config.block_w,
                 threshold,
             ) {
-                if env.obs.is_enabled() {
-                    let at = (offset + makespan).as_nanos();
-                    env.obs.record(ObsSpan {
-                        kind: ObsKind::Rebalance,
-                        device: None,
-                        block_row: Some(stop_row as u32),
-                        start_ns: at,
-                        end_ns: at,
-                    });
-                }
+                // The DES keeps no flight box, so a migration is only its
+                // span (no per-slab `Migrate` events).
+                let at = (offset + makespan).as_nanos();
+                coordinator.emit(Event::Rebalance, stop_row, at, at);
                 cur = new_slabs;
             }
         }
@@ -920,9 +886,10 @@ fn simulate(
 }
 
 /// Book one completed attempt into the run, on its cumulative clock
-/// (`offset` is the simulated time of the attempts before it): add each
-/// slab's activity to its device's totals, replay the kernel completions
-/// into the live handle, and export the attempt's spans.
+/// (`offset` is the simulated time of the attempts before it). Each slab's
+/// kernels, the gaps between them and its border transfers go through the
+/// slab device's [`Probe`], exactly as the threaded workers report their
+/// steps, and the probe's totals join the device's.
 fn book_attempt(
     env: &DesEnv<'_>,
     slabs: &[Slab],
@@ -932,101 +899,59 @@ fn book_attempt(
     totals: &mut [DeviceTotals],
 ) {
     let (m, block_h) = (env.m, env.config.block_h);
-    let rows = m.div_ceil(block_h);
-    let TaskGraph {
-        schedule,
-        computes,
-        kernel_tasks,
-        transfer_tasks,
-        start_row,
-        end_row,
-    } = graph;
-    let (start_row, end_row) = (*start_row, *end_row);
-    let off_ns = offset.as_nanos();
-
-    // Drive the live handle at simulated-time boundaries: every kernel
-    // completion, in simulated-finish order, advances the manual clock and
-    // books the row it retired.
-    if let Some(live) = env.live {
-        let mut completions: Vec<(u64, usize, u64, u64)> = Vec::new();
-        for (s_idx, (slab, tasks)) in slabs.iter().zip(kernel_tasks).enumerate() {
-            live.set_rows_total(s_idx, rows as u64);
-            for (rel, &k) in tasks.iter().enumerate() {
-                let start = schedule.start_of(k).as_nanos();
-                let finish = schedule.finish_of(k).as_nanos();
-                let cells = row_height(m, block_h, start_row + rel) as u64 * slab.width as u64;
-                completions.push((off_ns + finish, s_idx, cells, finish.saturating_sub(start)));
-            }
-        }
-        completions.sort_unstable();
-        for (finish_ns, s_idx, cells, dur_ns) in completions {
-            live.set_now_ns(finish_ns);
-            live.on_row_done(s_idx, cells, dur_ns);
-        }
-    }
-
-    // Span export: simulated-time Kernel and BorderXfer spans, one per
-    // scheduled task, attributed to the owning device and block-row.
-    if env.obs.is_enabled() {
-        for (s, slab) in slabs.iter().enumerate() {
-            let dev = slab.device as u32;
-            for (rel, &k) in kernel_tasks[s].iter().enumerate() {
-                env.obs.record(ObsSpan {
-                    kind: ObsKind::Kernel,
-                    device: Some(dev),
-                    block_row: Some((start_row + rel) as u32),
-                    start_ns: off_ns + schedule.start_of(k).as_nanos(),
-                    end_ns: off_ns + schedule.finish_of(k).as_nanos(),
-                });
-            }
-            for (rel, &t) in transfer_tasks[s].iter().enumerate() {
-                env.obs.record(ObsSpan {
-                    kind: ObsKind::BorderXfer,
-                    device: Some(dev),
-                    block_row: Some((start_row + rel) as u32),
-                    start_ns: off_ns + schedule.start_of(t).as_nanos(),
-                    end_ns: off_ns + schedule.finish_of(t).as_nanos(),
-                });
-            }
-        }
-    }
-
+    let (schedule, start_row) = (&graph.schedule, graph.start_row);
+    let on_clock = |task: TaskId| {
+        let off = offset.as_nanos();
+        (
+            off + schedule.start_of(task).as_nanos(),
+            off + schedule.finish_of(task).as_nanos(),
+        )
+    };
+    let prune = PruneModel::new(env, slabs);
     for (s, slab) in slabs.iter().enumerate() {
-        let tasks = &kernel_tasks[s];
-        let (Some(&first), Some(&last)) = (tasks.first(), tasks.last()) else {
-            continue;
-        };
-        let busy_ns = schedule.busy_of(computes[s]).as_nanos();
-        let first_ns = schedule.start_of(first).as_nanos();
-        let last_ns = schedule.finish_of(last).as_nanos();
-        // A compute stream runs its kernels back to back, so the gaps
-        // between them — time spent waiting for the left neighbour's
-        // borders — are the envelope minus the busy time. They are the
-        // DES's only measured stall phase; the unmeasured rest (startup,
-        // drain, lost attempts) lands in `other`.
-        let wait_input_ns = (last_ns - first_ns).saturating_sub(busy_ns);
-        if let Some(live) = env.live {
-            live.on_phase_ns(s, StallPhase::WaitInput, wait_input_ns);
-        }
-        let bytes_sent = if s + 1 < slabs.len() {
-            match mode {
-                Mode::FineGrain => (start_row..end_row)
-                    .map(|r| border_bytes(row_height(m, block_h, r)))
-                    .sum(),
-                Mode::BulkSynchronous => border_bytes(m),
+        let mut probe = Probe::device(env.sinks, slab.device, m.div_ceil(block_h));
+        let tiles = slab.width.div_ceil(env.config.block_w) as u64;
+        let mut idle_from = None;
+        for (rel, &k) in graph.kernel_tasks[s].iter().enumerate() {
+            let r = start_row + rel;
+            let (start, end) = on_clock(k);
+            // A compute stream runs its kernels back to back, so the gap
+            // before each one is time spent waiting for the left
+            // neighbour's border. Startup, drain and lost attempts stay
+            // unmeasured and land in `other`.
+            if let Some(from) = idle_from {
+                probe.emit(Event::InputGap, r, from, start);
             }
-        } else {
-            0
-        };
-        totals[slab.device].add(&DeviceTotals {
-            cells: slab_cells(m, block_h, start_row, end_row, slab.width),
-            bytes_sent,
-            busy_ns,
-            wait_input_ns,
-            first_kernel_start_ns: Some(off_ns + first_ns),
-            last_kernel_end_ns: off_ns + last_ns,
-            ..DeviceTotals::default()
-        });
+            // Pruned tiles cost no kernel time in the model; a row's skips
+            // are booked at once, from the slab's first column.
+            if let Some(rp) = prune.as_ref().map(|pm| pm.row(s, r)) {
+                if rp.pruned_tiles > 0 {
+                    let skip = Event::PruneSkip {
+                        col: slab.j0 as u64,
+                        tiles: rp.pruned_tiles,
+                        cells: rp.skipped_cells,
+                    };
+                    probe.emit(skip, r, start, start);
+                }
+            }
+            let row = Event::Compute {
+                cells: row_height(m, block_h, r) as u64 * slab.width as u64,
+                tiles,
+                watermark: prune.as_ref().map(|pm| pm.watermark(s, r + 1) as Score),
+            };
+            probe.emit(row, r, start, end);
+            idle_from = Some(end);
+        }
+        for (rel, &t) in graph.transfer_tasks[s].iter().enumerate() {
+            let r = start_row + rel;
+            let bytes = match mode {
+                Mode::FineGrain => border_bytes(row_height(m, block_h, r)),
+                Mode::BulkSynchronous => border_bytes(m),
+            };
+            let (start, end) = on_clock(t);
+            probe.emit(Event::BorderXfer { bytes }, r, start, end);
+        }
+        totals[slab.device].add(&probe.finish());
     }
 }
 
@@ -1096,8 +1021,8 @@ fn aborted_run(
 }
 
 /// Turn a completed run into the [`DesRun`]: the final attempt's schedule,
-/// the surviving chain's device rows from the whole-run `totals`, the
-/// pruning report and the closing live-telemetry updates.
+/// the surviving chain's device rows and the pruning counters from the
+/// whole-run `totals`, and the modeled watermark lag.
 #[allow(clippy::too_many_arguments)]
 fn finalize(
     env: &DesEnv<'_>,
@@ -1112,28 +1037,15 @@ fn finalize(
 ) -> DesRun {
     let (m, n, platform, config) = (env.m, env.n, env.platform, env.config);
     let total_cells = m as u128 * n as u128;
-    let rows = m.div_ceil(config.block_h);
     let secs = sim_time.as_secs_f64();
     let sim_ns = sim_time.as_nanos();
-    let prune_model = PruneModel::new(env, slabs);
-    let pruning = prune_model.as_ref().map(|pm| pm.report());
-
-    if let Some(live) = env.live {
-        // Mirror the threaded workers' per-device pruning telemetry with
-        // the modeled final values.
-        if let Some(pm) = &prune_model {
-            for s_idx in 0..slabs.len() {
-                let (mut tiles, mut skipped) = (0u64, 0u64);
-                for r in 0..rows {
-                    let rp = pm.row(s_idx, r);
-                    tiles += rp.pruned_tiles;
-                    skipped += rp.skipped_cells;
-                }
-                live.on_prune_update(s_idx, pm.watermark(s_idx, rows) as i32, tiles, skipped);
-            }
-        }
-        live.set_now_ns(sim_ns);
-    }
+    let pruning = PruneModel::new(env, slabs).map(|pm| PruningReport {
+        mode: env.prune_mode,
+        tiles_pruned: totals.iter().map(|t| t.tiles_pruned).sum(),
+        tiles_total: totals.iter().map(|t| t.tiles_total).sum(),
+        cells_skipped: totals.iter().map(|t| t.cells_skipped).sum(),
+        watermark_lag: pm.watermark_lag(),
+    });
 
     // The same sum-to-makespan identity as the threaded backend, over
     // `sim_time` as the makespan.
@@ -1233,6 +1145,7 @@ mod tests {
     use super::*;
     use crate::config::PartitionPolicy;
     use megasw_gpusim::catalog;
+    use megasw_obs::ObsKind;
 
     const MBP: usize = 1_000_000;
 
@@ -1981,5 +1894,39 @@ mod tests {
         assert_eq!(a.report.rebalance, b.report.rebalance);
         assert_eq!(a.losses, b.losses);
         assert_eq!(a.stalls, b.stalls);
+    }
+
+    #[test]
+    fn des_live_lanes_are_device_indices_after_a_recovery() {
+        use crate::pipeline::{FaultPhase, ScheduledFault};
+        let p = Platform::env2();
+        let (m, n) = (200_000usize, 200_000usize);
+        let live = LiveTelemetry::with_manual_clock(p.len(), (m * n) as u64);
+        let run = DesSim::new(m, n, &p)
+            .config(cfg())
+            .faults(ScheduledFault {
+                device: 0,
+                block_row: 0,
+                phase: FaultPhase::RingPop,
+            })
+            .recover(RecoveryPolicy::default())
+            .live(Arc::clone(&live))
+            .run();
+        assert!(run.aborted.is_none());
+        assert_eq!(
+            run.report.recovery.as_ref().unwrap().failed_devices,
+            vec![0]
+        );
+        let s = live.snapshot();
+        assert_eq!(s.devices[0].cells, 0, "device 0 computed nothing");
+        for d in &run.report.devices {
+            assert!(
+                u128::from(s.devices[d.device].cells) >= d.cells,
+                "device {}: live {} < reported {}",
+                d.device,
+                s.devices[d.device].cells,
+                d.cells
+            );
+        }
     }
 }

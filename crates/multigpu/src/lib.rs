@@ -51,6 +51,7 @@ pub mod job;
 pub mod memory;
 pub mod partition;
 pub mod pipeline;
+pub mod probe;
 pub mod service;
 pub mod stages;
 pub mod stats;
@@ -71,6 +72,7 @@ pub use partition::{
     make_slabs, make_slabs_excluding, make_slabs_excluding_with_weights, resplit_slabs, Slab,
 };
 pub use pipeline::{FaultPhase, FaultSchedule, PipelineRun, ScheduledFault, Semantics};
+pub use probe::Sinks;
 pub use service::{AlignService, JobState, JobStatus, ServiceConfig};
 pub use stages::multigpu_local_align;
 pub use stats::{

@@ -66,21 +66,22 @@
 //! worker bumps the handle's relaxed atomic counters once per block-row
 //! (cells, rows, kernel busy time) and the border rings keep its occupancy
 //! gauges current, so a sampler thread can render live progress and GCUPS
-//! without perturbing the workers. Live device indices follow **chain
-//! position** (slab order), matching `RunReport::devices`.
+//! without perturbing the workers. Every step reaches the recorder, the
+//! live handle, the flight recorder and the run's accounting through one
+//! [`Probe`](crate::probe) call, and live and flight lanes are **platform
+//! device indices**, the same key as `DeviceReport::device`.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, RecoveryPolicy};
 use crate::circbuf::{BorderMsg, CircularBuffer, RingError, RingStats};
 use crate::config::{PruneMode, RebalanceMode, RunConfig};
 use crate::error::MegaswError;
 use crate::partition::{make_slabs, make_slabs_excluding_with_weights, rebalance, Slab};
+use crate::probe::{Event, Probe, Sinks};
 use crate::stats::{
     DeviceReport, DeviceTotals, PruningReport, RebalanceReport, RecoveryReport, RunReport,
 };
 use megasw_gpusim::Platform;
-use megasw_obs::{
-    FlightEvent, FlightKind, FlightRecorder, LiveTelemetry, ObsKind, ObsSpan, Recorder, StallPhase,
-};
+use megasw_obs::{FlightRecorder, LiveTelemetry, Recorder};
 use megasw_sw::block::{skip_block, BlockInput};
 use megasw_sw::border::{ColBorder, RowBorder};
 use megasw_sw::cell::{BestCell, Score};
@@ -343,9 +344,7 @@ pub struct PipelineRun<'a> {
     semantics: Semantics,
     faults: FaultSchedule,
     recovery: Option<RecoveryPolicy>,
-    observer: Recorder,
-    live: Option<Arc<LiveTelemetry>>,
-    flight: Option<Arc<FlightRecorder>>,
+    sinks: Sinks,
     flight_dump: Option<PathBuf>,
     cancel: Option<Arc<AtomicBool>>,
 }
@@ -363,9 +362,7 @@ impl<'a> PipelineRun<'a> {
             semantics: Semantics::Local,
             faults: FaultSchedule::default(),
             recovery: None,
-            observer: Recorder::disabled(),
-            live: None,
-            flight: None,
+            sinks: Sinks::default(),
             flight_dump: None,
             cancel: None,
         }
@@ -404,16 +401,17 @@ impl<'a> PipelineRun<'a> {
     /// Attach a span recorder. Clone the recorder before attaching and read
     /// the spans from your clone after `run()` returns.
     pub fn observer(mut self, observer: Recorder) -> Self {
-        self.observer = observer;
+        self.sinks.obs = observer;
         self
     }
 
     /// Attach in-flight telemetry: workers update the handle's atomic
     /// counters once per block-row and the rings keep its occupancy gauges
-    /// current. Keep a clone to sample from another thread while the run
-    /// executes (see [`megasw_obs::ProgressSampler`]).
+    /// current. Lanes are platform device indices, so size the handle for
+    /// the whole platform. Keep a clone to sample from another thread
+    /// while the run executes (see [`megasw_obs::ProgressSampler`]).
     pub fn live(mut self, live: Arc<LiveTelemetry>) -> Self {
-        self.live = Some(live);
+        self.sinks.live = Some(live);
         self
     }
 
@@ -421,10 +419,10 @@ impl<'a> PipelineRun<'a> {
     /// per step (row start, ring pop, compute, checkpoint, ring push,
     /// prune skip, fault) to its own lock-free ring. Keep a clone to dump
     /// the rings yourself, or set [`PipelineRun::flight_dump_path`] to
-    /// have `run()` dump them as JSONL automatically. Lanes follow chain
-    /// position, like live-telemetry device indices.
+    /// have `run()` dump them as JSONL automatically. Lanes are platform
+    /// device indices, like live-telemetry lanes.
     pub fn flight(mut self, flight: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(flight);
+        self.sinks.flight = Some(flight);
         self
     }
 
@@ -462,13 +460,11 @@ impl<'a> PipelineRun<'a> {
             &self.faults,
             self.recovery,
             self.semantics,
-            &self.observer,
-            self.live.as_ref(),
-            self.flight.as_ref(),
+            &self.sinks,
             self.cancel.as_deref(),
         )
         .map_err(MegaswError::from);
-        if let (Some(fr), Some(path)) = (&self.flight, &self.flight_dump) {
+        if let (Some(fr), Some(path)) = (&self.sinks.flight, &self.flight_dump) {
             // Best-effort: a failing dump must not mask the run's result.
             let _ = fr.dump_to(path);
         }
@@ -543,9 +539,7 @@ pub(crate) fn run_pipeline(
     faults: &FaultSchedule,
     recovery: Option<RecoveryPolicy>,
     semantics: Semantics,
-    obs: &Recorder,
-    live: Option<&Arc<LiveTelemetry>>,
-    flight: Option<&Arc<FlightRecorder>>,
+    sinks: &Sinks,
     cancel: Option<&AtomicBool>,
 ) -> Result<RunReport, PipelineError> {
     config.validate().map_err(PipelineError::InvalidConfig)?;
@@ -614,9 +608,11 @@ pub(crate) fn run_pipeline(
     // (re-probing on each attempt was measurable overhead on fault-dense
     // schedules).
     let mut calibrated: Option<Vec<f64>> = None;
+    // Recoveries and rebalances reach the sinks through this probe.
+    let mut coordinator = Probe::coordinator(sinks);
     // All stall accounting is relative to this instant, on the recorder's
     // clock, so spans and the stall envelope share one timebase.
-    let run_start_ns = obs.now_ns();
+    let run_start_ns = coordinator.now_ns();
 
     loop {
         // Cooperative cancellation point: every iteration of this loop is
@@ -650,9 +646,7 @@ pub(crate) fn run_pipeline(
             kernel,
             faults,
             semantics,
-            obs,
-            live,
-            flight,
+            sinks,
             resume: resume.as_ref(),
             ckpt,
         });
@@ -667,7 +661,7 @@ pub(crate) fn run_pipeline(
                     return Err(failure.error);
                 };
                 failures += 1;
-                let rec_start_ns = obs.now_ns();
+                let rec_start_ns = coordinator.now_ns();
                 blacklist.push(device);
                 let measured = match &config.policy.partition {
                     crate::config::PartitionPolicy::Proportional => Some(
@@ -698,14 +692,11 @@ pub(crate) fn run_pipeline(
                 recovery_report.recoveries += 1;
                 recovery_report.failed_devices.push(device);
                 recovery_report.resumed_from_rows.push(new_start);
-                if let Some(live) = live {
-                    live.on_recovery();
-                }
-                obs.record_since(
-                    ObsKind::Recovery,
-                    Some(device as u32),
-                    Some(block_row as u32),
+                coordinator.emit(
+                    Event::Recovery { device },
+                    block_row,
                     rec_start_ns,
+                    coordinator.now_ns(),
                 );
                 slabs = survivors;
                 start_row = new_start;
@@ -720,7 +711,7 @@ pub(crate) fn run_pipeline(
         }
 
         if stop_row >= rows {
-            let wall_ns = obs.now_ns().saturating_sub(run_start_ns);
+            let wall_ns = coordinator.now_ns().saturating_sub(run_start_ns);
             debug_assert_eq!(
                 totals.iter().map(|t| t.cells).sum::<u128>() + preserved_cells,
                 m as u128 * n as u128,
@@ -750,7 +741,7 @@ pub(crate) fn run_pipeline(
         // complete checkpoint *is* the boundary — resuming from it
         // recomputes nothing.
         if let RebalanceMode::On { threshold, .. } = rb_mode {
-            let rb_start_ns = obs.now_ns();
+            let rb_start_ns = coordinator.now_ns();
             let rates: Vec<f64> = partials
                 .iter()
                 .map(|p| p.totals.cells as f64 / p.totals.busy_ns.max(1) as f64)
@@ -767,23 +758,14 @@ pub(crate) fn run_pipeline(
                 slabs = new_slabs;
                 // Workers have joined, so the coordinator is the sole
                 // writer on every flight lane here.
-                if let Some(fr) = flight {
-                    for (s_idx, slab) in slabs.iter().enumerate() {
-                        fr.record(
-                            s_idx,
-                            FlightEvent {
-                                kind: FlightKind::Rebalance,
-                                device: slab.device as u32,
-                                row: stop_row as u64,
-                                t_ns: obs.now_ns(),
-                                dur_ns: 0,
-                                aux: slab.width as u64,
-                            },
-                        );
-                    }
+                let t = coordinator.now_ns();
+                for slab in &slabs {
+                    let (device, width) = (slab.device, slab.width as u64);
+                    coordinator.emit(Event::Migrate { device, width }, stop_row, t, t);
                 }
             }
-            obs.record_since(ObsKind::Rebalance, None, Some(stop_row as u32), rb_start_ns);
+            let rb_end_ns = coordinator.now_ns();
+            coordinator.emit(Event::Rebalance, stop_row, rb_start_ns, rb_end_ns);
         }
         let ck = store
             .as_ref()
@@ -816,9 +798,7 @@ struct AttemptParams<'e> {
     kernel: &'static dyn Kernel,
     faults: &'e FaultSchedule,
     semantics: Semantics,
-    obs: &'e Recorder,
-    live: Option<&'e Arc<LiveTelemetry>>,
-    flight: Option<&'e Arc<FlightRecorder>>,
+    sinks: &'e Sinks,
     /// Checkpoint to resume from (tops are sliced out of its lanes).
     resume: Option<&'e Checkpoint>,
     /// Where workers deposit checkpoints, when the run keeps a store.
@@ -832,22 +812,16 @@ struct CkptCtx<'e> {
     interval: usize,
 }
 
-/// A worker's failure, carrying how many cells it computed before dying so
-/// the rewind accounting stays exact.
-struct WorkerFailure {
-    error: PipelineError,
-    cells: u128,
-}
-
-/// An attempt's failure: the root-cause error plus the cells the whole
-/// attempt computed (all workers, finished or not).
-struct AttemptFailure {
+/// A failure and the cells computed before it — by the dying worker, or,
+/// for an attempt, by all its workers, finished or not — so the rewind
+/// accounting stays exact.
+struct Failure {
     error: PipelineError,
     cells: u128,
 }
 
 struct AttemptOutcome {
-    results: Vec<Result<DevicePartial, WorkerFailure>>,
+    results: Vec<Result<DevicePartial, Failure>>,
     ring_stats: Vec<RingStats>,
 }
 
@@ -866,50 +840,24 @@ fn run_attempt(p: AttemptParams<'_>) -> AttemptOutcome {
     // Seeded from the resume checkpoint so pruning composes with recovery.
     let global_watermark = AtomicI32::new(p.resume.map_or(0, |ck| ck.watermark));
 
-    if let Some(live) = p.live {
-        for (s_idx, ring) in rings.iter().enumerate() {
-            if let Some(gauge) = live.ring_gauge(s_idx) {
+    // Each ring's occupancy gauge sits on the lane of the device feeding it.
+    if let Some(live) = &p.sinks.live {
+        for (ring, slab) in rings.iter().zip(p.slabs) {
+            if let Some(gauge) = live.ring_gauge(slab.device) {
                 ring.attach_occupancy_gauge(gauge);
             }
         }
-        for s_idx in 0..p.slabs.len() {
-            live.set_rows_total(s_idx, p.rows as u64);
-        }
     }
 
-    let results: Vec<Result<DevicePartial, WorkerFailure>> = std::thread::scope(|scope| {
+    let results: Vec<Result<DevicePartial, Failure>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p.slabs.len());
-        for (s_idx, slab) in p.slabs.iter().enumerate() {
-            let ring_in = if s_idx > 0 {
-                Some(&rings[s_idx - 1])
-            } else {
-                None
-            };
+        for s_idx in 0..p.slabs.len() {
+            let ring_in = s_idx.checked_sub(1).map(|i| &rings[i]);
             let ring_out = rings.get(s_idx);
             let p = &p;
             let global_watermark = &global_watermark;
             handles.push(scope.spawn(move || {
-                let result = device_worker(WorkerParams {
-                    a: p.a,
-                    b: p.b,
-                    slab: *slab,
-                    s_idx,
-                    rows: p.rows,
-                    start_row: p.start_row,
-                    stop_row: p.stop_row,
-                    config: p.config,
-                    kernel: p.kernel,
-                    ring_in,
-                    ring_out,
-                    faults: p.faults,
-                    semantics: p.semantics,
-                    obs: p.obs,
-                    live: p.live,
-                    flight: p.flight,
-                    resume: p.resume,
-                    ckpt: p.ckpt,
-                    global_watermark,
-                });
+                let result = device_worker(p, s_idx, ring_in, ring_out, global_watermark);
                 if result.is_err() {
                     // Wake neighbours so the failure propagates instead of
                     // deadlocking the chain.
@@ -940,8 +888,8 @@ fn run_attempt(p: AttemptParams<'_>) -> AttemptOutcome {
 /// `RingPoisoned` observations; the failure carries the attempt's total
 /// computed cells for the rewind accounting.
 fn collect_attempt(
-    results: Vec<Result<DevicePartial, WorkerFailure>>,
-) -> Result<Vec<DevicePartial>, AttemptFailure> {
+    results: Vec<Result<DevicePartial, Failure>>,
+) -> Result<Vec<DevicePartial>, Failure> {
     let mut cells: u128 = 0;
     let mut fault: Option<PipelineError> = None;
     let mut poison: Option<PipelineError> = None;
@@ -970,7 +918,7 @@ fn collect_attempt(
     if !failed {
         return Ok(partials);
     }
-    Err(AttemptFailure {
+    Err(Failure {
         error: fault.or(poison).expect("failed attempt carries an error"),
         cells,
     })
@@ -1055,65 +1003,39 @@ fn assemble_report(
     }
 }
 
-/// One worker's slice of an [`AttemptParams`].
-struct WorkerParams<'e> {
-    a: &'e [u8],
-    b: &'e [u8],
-    slab: Slab,
-    s_idx: usize,
-    rows: usize,
-    start_row: usize,
-    /// Exclusive upper bound of this attempt's block-rows (a segment
-    /// boundary, or `rows` when the attempt runs to completion).
-    stop_row: usize,
-    config: &'e RunConfig,
-    kernel: &'static dyn Kernel,
-    ring_in: Option<&'e CircularBuffer<BorderMsg>>,
-    ring_out: Option<&'e CircularBuffer<BorderMsg>>,
-    faults: &'e FaultSchedule,
-    semantics: Semantics,
-    obs: &'e Recorder,
-    live: Option<&'e Arc<LiveTelemetry>>,
-    flight: Option<&'e Arc<FlightRecorder>>,
-    resume: Option<&'e Checkpoint>,
-    ckpt: Option<CkptCtx<'e>>,
-    /// Shared watermark for non-adjacent devices (distributed pruning).
-    global_watermark: &'e AtomicI32,
-}
-
 /// The per-device loop.
 ///
 /// Per block-row the phases run in dataflow order — `RingPop` fault check,
 /// pop, `Compute` fault check, kernels, checkpoint deposit, `RingPush`
 /// fault check, push, `Transfer` fault check — so a scheduled fault kills
 /// the device at a well-defined point regardless of ring topology.
-fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
-    let WorkerParams {
+fn device_worker(
+    p: &AttemptParams<'_>,
+    s_idx: usize,
+    ring_in: Option<&CircularBuffer<BorderMsg>>,
+    ring_out: Option<&CircularBuffer<BorderMsg>>,
+    global_watermark: &AtomicI32,
+) -> Result<DevicePartial, Failure> {
+    let AttemptParams {
         a,
         b,
-        slab,
-        s_idx,
+        slabs,
         rows,
         start_row,
         stop_row,
         config,
         kernel,
-        ring_in,
-        ring_out,
         faults,
         semantics,
-        obs,
-        live,
-        flight,
+        sinks,
         resume,
         ckpt,
-        global_watermark,
-    } = p;
+    } = *p;
+    let slab = slabs[s_idx];
     let m = a.len();
     let n = b.len();
     let block_h = config.block_h;
     let block_w = config.block_w;
-    let lane = slab.device as u32;
     let prune_mode = effective_prune_mode(config, semantics);
 
     // Tile columns of this slab.
@@ -1144,29 +1066,9 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
             .collect(),
     };
     let mut best = BestCell::ZERO;
-    // Cells covered, phase clocks and the kernel-activity envelope. Rescue
-    // time is read from the kernel crate's thread-local counters — this
-    // worker owns its thread, so the deltas are exactly its own rescues.
-    let mut totals = DeviceTotals::default();
-    let rescues_base = kernel::simd_rescues_thread();
-    let rescue_ns_base = kernel::simd_rescue_ns_thread();
-    // One flight-recorder append per step; ~70 ns each, only when a
-    // recorder is attached.
-    let fly = |kind: FlightKind, row: u64, t_ns: u64, dur_ns: u64, aux: u64| {
-        if let Some(fr) = flight {
-            fr.record(
-                s_idx,
-                FlightEvent {
-                    kind,
-                    device: lane,
-                    row,
-                    t_ns,
-                    dur_ns,
-                    aux,
-                },
-            );
-        }
-    };
+    // Every step below is reported once, to this probe; it keeps the
+    // attempt's cells, phase clocks and kernel envelope.
+    let mut probe = Probe::device(sinks, slab.device, rows);
 
     // The pruning watermark: the highest score this worker *knows about*.
     // It only ever grows (fold is max) and only ever folds scores that some
@@ -1180,25 +1082,22 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         PruneMode::Local | PruneMode::Distributed => resume.map_or(0, |ck| ck.watermark),
     };
 
-    // Fault events carry aux 0 = injected device fault, 1 = poisoned ring
-    // observed from a dead neighbour.
-    let die = |cells: u128, r: usize| {
-        fly(FlightKind::Fault, r as u64, obs.now_ns(), 0, 0);
-        WorkerFailure {
-            error: PipelineError::DeviceFault {
-                device: slab.device,
-                block_row: r,
+    // Die at a fault point — an injected fault, or a `poisoned` ring left
+    // by a dead neighbour — with the cells computed so far, which the
+    // rewind accounting needs.
+    let fail = |probe: &mut Probe<'_>, r: usize, poisoned: bool| {
+        probe.mark(Event::Fault { poisoned }, r);
+        let device = slab.device;
+        Failure {
+            error: if poisoned {
+                PipelineError::RingPoisoned { device }
+            } else {
+                PipelineError::DeviceFault {
+                    device,
+                    block_row: r,
+                }
             },
-            cells,
-        }
-    };
-    let poisoned = |cells: u128, r: usize| {
-        fly(FlightKind::Fault, r as u64, obs.now_ns(), 0, 1);
-        WorkerFailure {
-            error: PipelineError::RingPoisoned {
-                device: slab.device,
-            },
-            cells,
+            cells: probe.cells(),
         }
     };
 
@@ -1213,11 +1112,10 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         let i0 = r * block_h + 1;
         let i1 = ((r + 1) * block_h).min(m) + 1;
         let height = i1 - i0;
-        let row = r as u32;
-        fly(FlightKind::RowStart, r as u64, obs.now_ns(), 0, 0);
+        probe.mark(Event::RowStart, r);
 
         if faults.fires(slab.device, r, FaultPhase::RingPop) {
-            return Err(die(totals.cells, r));
+            return Err(fail(&mut probe, r, false));
         }
 
         // Under distributed pruning, fold the shared global watermark once
@@ -1233,21 +1131,9 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                 Semantics::Anchored => ColBorder::anchored(height, i0, &config.scheme),
             },
             Some(ring) => {
-                let wait_start = obs.now_ns();
+                let wait_start = probe.now_ns();
                 let popped = ring.pop();
-                let wait_end = obs.now_ns().max(wait_start);
-                obs.record_since(ObsKind::RingPopWait, Some(lane), Some(row), wait_start);
-                totals.wait_input_ns += wait_end - wait_start;
-                if let Some(live) = live {
-                    live.on_phase_ns(s_idx, StallPhase::WaitInput, wait_end - wait_start);
-                }
-                fly(
-                    FlightKind::RingPop,
-                    r as u64,
-                    wait_end,
-                    wait_end - wait_start,
-                    0,
-                );
+                probe.emit(Event::WaitInput, r, wait_start, probe.now_ns());
                 match popped {
                     Ok(Some(msg)) => {
                         let BorderMsg {
@@ -1264,20 +1150,18 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                     }
                     // Closed-early and poisoned both mean a neighbour died.
                     Ok(None) | Err(RingError::Closed) | Err(RingError::Poisoned) => {
-                        return Err(poisoned(totals.cells, r));
+                        return Err(fail(&mut probe, r, true));
                     }
                 }
             }
         };
 
         if faults.fires(slab.device, r, FaultPhase::Compute) {
-            return Err(die(totals.cells, r));
+            return Err(fail(&mut probe, r, false));
         }
 
-        let kernel_start = obs.now_ns();
+        let kernel_start = probe.now_ns();
         for (c, &(jc0, wc)) in cols.iter().enumerate() {
-            let covered = height as u128 * wc as u128;
-            totals.tiles_total += 1;
             if prune_mode.is_enabled() {
                 let incoming_max = tops[c].max_h().max(left.max_h());
                 let bound = prune_bound(incoming_max, m, n, i0, jc0, &config.scheme);
@@ -1288,25 +1172,16 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                     // The skip happens inside the kernel timing window, so
                     // its clock is carved out of busy_ns by the
                     // attribution, not added on top.
-                    let skip_start = obs.now_ns();
+                    let skip_start = probe.now_ns();
                     let out = skip_block(height, wc);
-                    let skip_ns = obs.now_ns().max(skip_start) - skip_start;
-                    totals.prune_skip_ns += skip_ns;
-                    if let Some(live) = live {
-                        live.on_phase_ns(s_idx, StallPhase::PruneSkip, skip_ns);
-                    }
-                    fly(
-                        FlightKind::PruneSkip,
-                        r as u64,
-                        skip_start,
-                        skip_ns,
-                        jc0 as u64,
-                    );
+                    let skip = Event::PruneSkip {
+                        col: jc0 as u64,
+                        tiles: 1,
+                        cells: height as u64 * wc as u64,
+                    };
+                    probe.emit(skip, r, skip_start, probe.now_ns());
                     tops[c] = out.bottom;
                     left = out.right;
-                    totals.tiles_pruned += 1;
-                    totals.cells_skipped += covered;
-                    totals.cells += covered; // covered, not computed: coverage accounting
                     continue;
                 }
                 // Borders from pruned neighbours may disagree at the shared
@@ -1327,46 +1202,19 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                 Semantics::Anchored => kernel.block_anchored(input, &config.scheme),
             };
             best = best.merge(out.best);
-            totals.cells += out.cells as u128;
             tops[c] = out.bottom;
             left = out.right;
         }
         if prune_mode.is_enabled() {
             watermark = watermark.max(best.score);
         }
-        let kernel_end = obs.now_ns().max(kernel_start);
-        obs.record(ObsSpan {
-            kind: ObsKind::Kernel,
-            device: Some(lane),
-            block_row: Some(row),
-            start_ns: kernel_start,
-            end_ns: kernel_end,
-        });
-        totals.first_kernel_start_ns.get_or_insert(kernel_start);
-        totals.last_kernel_end_ns = kernel_end;
-        totals.busy_ns += kernel_end - kernel_start;
-        fly(
-            FlightKind::Compute,
-            r as u64,
-            kernel_end,
-            kernel_end - kernel_start,
-            cols.len() as u64,
-        );
-        if let Some(live) = live {
-            live.on_row_done(
-                s_idx,
-                (height as u64) * (slab.width as u64),
-                kernel_end - kernel_start,
-            );
-            if prune_mode.is_enabled() {
-                live.on_prune_update(
-                    s_idx,
-                    watermark,
-                    totals.tiles_pruned,
-                    u64::try_from(totals.cells_skipped).unwrap_or(u64::MAX),
-                );
-            }
-        }
+        // The row covers its whole slab width, computed or skipped.
+        let row = Event::Compute {
+            cells: height as u64 * slab.width as u64,
+            tiles: cols.len() as u64,
+            watermark: prune_mode.is_enabled().then_some(watermark),
+        };
+        probe.emit(row, r, kernel_start, probe.now_ns());
 
         // Publish this worker's watermark for non-adjacent devices.
         if prune_mode == PruneMode::Distributed {
@@ -1378,7 +1226,7 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         if let Some(ck) = ckpt {
             let wave = r + 1;
             if wave % ck.interval == 0 && wave < rows {
-                let ckpt_start = obs.now_ns();
+                let ckpt_start = probe.now_ns();
                 ck_h.clear();
                 ck_f.clear();
                 ck_h.push(tops[0].h[0]);
@@ -1389,54 +1237,32 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
                 }
                 ck.store
                     .record(ck.attempt, wave, s_idx, &ck_h, &ck_f, best, watermark);
-                let ckpt_ns = obs.now_ns().max(ckpt_start) - ckpt_start;
-                totals.checkpoint_ns += ckpt_ns;
-                if let Some(live) = live {
-                    live.on_phase_ns(s_idx, StallPhase::Checkpoint, ckpt_ns);
-                }
-                fly(
-                    FlightKind::Checkpoint,
-                    r as u64,
-                    ckpt_start,
-                    ckpt_ns,
-                    wave as u64,
-                );
+                let deposit = Event::Checkpoint { wave: wave as u64 };
+                probe.emit(deposit, r, ckpt_start, probe.now_ns());
             }
         }
 
         if faults.fires(slab.device, r, FaultPhase::RingPush) {
-            return Err(die(totals.cells, r));
+            return Err(fail(&mut probe, r, false));
         }
 
         if let Some(ring) = ring_out {
-            totals.bytes_sent += left.transfer_bytes() as u64;
-            let push_start = obs.now_ns();
+            let bytes = left.transfer_bytes() as u64;
+            let push_start = probe.now_ns();
             // The watermark piggybacks on the border hand-off: zero extra
             // messages, and the right neighbour folds it before its next row.
             let pushed = ring.push(BorderMsg {
                 border: left,
                 watermark,
             });
-            let push_end = obs.now_ns().max(push_start);
-            obs.record_since(ObsKind::RingPush, Some(lane), Some(row), push_start);
-            totals.wait_output_ns += push_end - push_start;
-            if let Some(live) = live {
-                live.on_phase_ns(s_idx, StallPhase::WaitOutput, push_end - push_start);
-            }
-            fly(
-                FlightKind::RingPush,
-                r as u64,
-                push_end,
-                push_end - push_start,
-                0,
-            );
+            probe.emit(Event::WaitOutput { bytes }, r, push_start, probe.now_ns());
             if pushed.is_err() {
-                return Err(poisoned(totals.cells, r));
+                return Err(fail(&mut probe, r, true));
             }
         }
 
         if faults.fires(slab.device, r, FaultPhase::Transfer) {
-            return Err(die(totals.cells, r));
+            return Err(fail(&mut probe, r, false));
         }
     }
 
@@ -1444,12 +1270,10 @@ fn device_worker(p: WorkerParams<'_>) -> Result<DevicePartial, WorkerFailure> {
         ring.close();
     }
 
-    totals.simd_rescue_ns = kernel::simd_rescue_ns_thread().saturating_sub(rescue_ns_base);
-    totals.simd_rescues = kernel::simd_rescues_thread().saturating_sub(rescues_base);
     Ok(DevicePartial {
         best,
         watermark,
-        totals,
+        totals: probe.finish(),
     })
 }
 
@@ -1507,7 +1331,7 @@ mod tests {
     use super::*;
     use crate::config::{CheckpointCadence, PruneMode};
     use megasw_gpusim::{catalog, Platform};
-    use megasw_obs::ObsLevel;
+    use megasw_obs::{ObsKind, ObsLevel};
     use megasw_seq::{ChromosomeGenerator, DivergenceModel, GenerateConfig};
     /// Scalar whole-sequence oracle via the kernel trait (the deprecated
     /// `gotoh_best` free function is being phased out).
@@ -2423,5 +2247,76 @@ mod tests {
             .unwrap();
         assert!(obs.is_empty());
         assert!(report.devices.iter().all(|d| d.stall.is_some()));
+    }
+
+    #[test]
+    fn live_and_flight_lanes_are_device_indices_after_a_recovery() {
+        // Device 0 dies before computing a row, so the survivors run the
+        // whole matrix from chain positions 0 and 1: lanes must still name
+        // devices 1 and 2.
+        let (a, b) = pair(3_000, 45);
+        let total = (a.codes().len() * b.codes().len()) as u64;
+        let live = LiveTelemetry::new(3, total);
+        let flight = megasw_obs::FlightRecorder::new(3, 4096);
+        let report = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
+            .config(RunConfig::test_default().with_checkpoint(CheckpointCadence::EveryRows(4)))
+            .faults(ScheduledFault {
+                device: 0,
+                block_row: 0,
+                phase: FaultPhase::RingPop,
+            })
+            .recover(RecoveryPolicy::default())
+            .live(Arc::clone(&live))
+            .flight(Arc::clone(&flight))
+            .run()
+            .unwrap();
+        assert_eq!(report.recovery.as_ref().unwrap().failed_devices, vec![0]);
+        let s = live.snapshot();
+        assert_eq!(s.devices[0].cells, 0, "device 0 computed nothing");
+        for d in &report.devices {
+            assert!(
+                u128::from(s.devices[d.device].cells) >= d.cells,
+                "device {}: live {} < reported {}",
+                d.device,
+                s.devices[d.device].cells,
+                d.cells
+            );
+        }
+        for lane in 0..3 {
+            assert!(flight
+                .events(lane)
+                .iter()
+                .all(|e| e.device as usize == lane));
+        }
+        assert!(flight
+            .events(0)
+            .iter()
+            .any(|e| e.kind == megasw_obs::FlightKind::Fault && e.aux == 0));
+    }
+
+    #[test]
+    fn live_pruning_counters_cover_every_segment() {
+        use crate::config::RebalanceMode;
+        let (a, b) = similar_pair(3_000, 46);
+        let total = (a.codes().len() * b.codes().len()) as u64;
+        let live = LiveTelemetry::new(3, total);
+        let cfg = RunConfig::test_default()
+            .with_pruning(PruneMode::Distributed)
+            .with_checkpoint(CheckpointCadence::EveryRows(2))
+            .with_rebalance(RebalanceMode::On {
+                threshold: 0.0,
+                window_waves: 2,
+            });
+        let report = PipelineRun::new(a.codes(), b.codes(), &Platform::env2())
+            .config(cfg)
+            .live(Arc::clone(&live))
+            .run()
+            .unwrap();
+        assert!(report.rebalance.as_ref().unwrap().evaluations >= 2);
+        let pr = report.pruning.expect("pruned run reports pruning");
+        assert!(pr.tiles_pruned > 0, "the similar pair prunes tiles");
+        let s = live.snapshot();
+        assert_eq!(s.tiles_pruned(), pr.tiles_pruned);
+        assert_eq!(u128::from(s.cells_skipped()), pr.cells_skipped);
     }
 }

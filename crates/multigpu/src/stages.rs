@@ -22,10 +22,10 @@
 
 use crate::config::RunConfig;
 use crate::pipeline::{run_pipeline, FaultSchedule, PipelineError, Semantics};
+use crate::probe::Sinks;
 use megasw_gpusim::Platform;
-use megasw_obs::{LiveTelemetry, ObsKind, Recorder};
+use megasw_obs::ObsKind;
 use megasw_sw::traceback::{myers_miller, score_of_ops, LocalAlignment};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Where each stage spent its wall-clock time.
@@ -44,34 +44,21 @@ pub fn multigpu_local_align(
     platform: &Platform,
     config: &RunConfig,
 ) -> Result<(LocalAlignment, StageTimes), PipelineError> {
-    multigpu_local_align_observed(a, b, platform, config, &Recorder::disabled())
+    multigpu_local_align_live(a, b, platform, config, &Sinks::default())
 }
 
-/// [`multigpu_local_align`] with a span recorder attached: stages 1 and 2
-/// contribute the pipeline's `Kernel`/ring spans, stage 3 a host-side
-/// `Traceback` span.
-pub fn multigpu_local_align_observed(
-    a: &[u8],
-    b: &[u8],
-    platform: &Platform,
-    config: &RunConfig,
-    obs: &Recorder,
-) -> Result<(LocalAlignment, StageTimes), PipelineError> {
-    multigpu_local_align_live(a, b, platform, config, obs, None)
-}
-
-/// [`multigpu_local_align_observed`] with in-flight telemetry threaded
-/// through both pipeline stages. Size the handle for `m × n` total cells:
-/// stage 2 re-runs the pipeline over the reversed prefixes, so the live
-/// cell count can exceed the forward matrix — the snapshot's
-/// `fraction_done` clamps at 100% rather than overshooting.
+/// [`multigpu_local_align`] with observers attached. Stages 1 and 2
+/// contribute the pipeline's `Kernel`/ring spans, live counters and
+/// flight events, stage 3 a host-side `Traceback` span. Size a live handle
+/// for `m × n` total cells: stage 2 re-runs the pipeline over the reversed
+/// prefixes, so the live cell count can exceed the forward matrix — the
+/// snapshot's `fraction_done` clamps at 100% rather than overshooting.
 pub fn multigpu_local_align_live(
     a: &[u8],
     b: &[u8],
     platform: &Platform,
     config: &RunConfig,
-    obs: &Recorder,
-    live: Option<&Arc<LiveTelemetry>>,
+    sinks: &Sinks,
 ) -> Result<(LocalAlignment, StageTimes), PipelineError> {
     let mut times = StageTimes::default();
 
@@ -85,9 +72,7 @@ pub fn multigpu_local_align_live(
         &FaultSchedule::default(),
         None,
         Semantics::Local,
-        obs,
-        live,
-        None,
+        sinks,
         None,
     )?;
     times.stage1 = t0.elapsed();
@@ -109,9 +94,7 @@ pub fn multigpu_local_align_live(
         &FaultSchedule::default(),
         None,
         Semantics::Anchored,
-        obs,
-        live,
-        None,
+        sinks,
         None,
     )?;
     times.stage2 = t0.elapsed();
@@ -125,11 +108,13 @@ pub fn multigpu_local_align_live(
     // Stage 3: Myers–Miller on the bounded segment — host work, so the
     // span lands on the host lane (no device).
     let t0 = std::time::Instant::now();
-    let tb_start = obs.now_ns();
+    let tb_start = sinks.obs.now_ns();
     let a_seg = &a[is - 1..ie];
     let b_seg = &b[js - 1..je];
     let ops = myers_miller(a_seg, b_seg, &config.scheme);
-    obs.record_since(ObsKind::Traceback, None, None, tb_start);
+    sinks
+        .obs
+        .record_since(ObsKind::Traceback, None, None, tb_start);
     times.stage3 = t0.elapsed();
     debug_assert_eq!(
         score_of_ops(a_seg, b_seg, &ops, &config.scheme),
@@ -253,12 +238,16 @@ mod tests {
 
     #[test]
     fn observed_retrieval_emits_a_host_traceback_span() {
-        use megasw_obs::ObsLevel;
+        use megasw_obs::{ObsLevel, Recorder};
         let (a, b) = pair(1_500, 31);
         let cfg = RunConfig::paper_default().with_block(64);
         let obs = Recorder::new(ObsLevel::Full);
+        let sinks = Sinks {
+            obs: obs.clone(),
+            ..Sinks::default()
+        };
         let (aln, _) =
-            multigpu_local_align_observed(a.codes(), b.codes(), &Platform::env1(), &cfg, &obs)
+            multigpu_local_align_live(a.codes(), b.codes(), &Platform::env1(), &cfg, &sinks)
                 .unwrap();
         assert!(aln.score > 0);
         let spans = obs.spans();

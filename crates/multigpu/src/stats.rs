@@ -197,11 +197,12 @@ impl std::fmt::Display for StallAttribution {
 /// One device's activity summed over every attempt of a run that
 /// completed — the per-device accumulator both backends keep, keyed by
 /// platform device index, so a segmented, rebalanced or recovered run
-/// reports its whole makespan rather than its last attempt. Work done in
-/// failed attempts is never added, so its time lands in `other`. Times are
-/// nanoseconds on the backend's clock (recorder time for the threaded
-/// pipeline, cumulative simulated time for the DES); the pruning, rescue
-/// and ring counters stay zero on the DES.
+/// reports its whole makespan rather than its last attempt. Each attempt's
+/// share is built by the device's [`Probe`](crate::probe) from the events
+/// it emitted. Work done in failed attempts is never added, so its time
+/// lands in `other`. Times are nanoseconds on the backend's clock (recorder
+/// time for the threaded pipeline, cumulative simulated time for the DES);
+/// the rescue and ring counters stay zero on the DES.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct DeviceTotals {
     /// Matrix cells covered (computed or skipped).

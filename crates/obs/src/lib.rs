@@ -50,7 +50,6 @@ pub use http::{
 };
 pub use live::{
     render_progress_line, DeviceSnapshot, LiveSnapshot, LiveTelemetry, ProgressSampler, RingGauge,
-    StallPhase,
 };
 pub use metrics::{Histogram, MetricsRegistry};
 pub use prom::{

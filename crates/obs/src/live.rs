@@ -58,23 +58,6 @@ struct DeviceLive {
     prune_skip_ns: AtomicU64,
 }
 
-/// One fine-grained stall phase a worker can attribute wall-clock time to
-/// via [`LiveTelemetry::on_phase_ns`]. Compute time keeps flowing through
-/// [`LiveTelemetry::on_row_done`]'s `busy_ns` argument; these four cover
-/// the time a device is *not* computing (or is computing a degenerate
-/// skipped tile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallPhase {
-    /// Blocked popping a border column from the predecessor.
-    WaitInput,
-    /// Blocked pushing a border column to the successor.
-    WaitOutput,
-    /// Depositing a checkpoint wave.
-    Checkpoint,
-    /// Skipping a pruned tile (degenerate compute).
-    PruneSkip,
-}
-
 /// How the telemetry measures "now".
 #[derive(Debug)]
 enum Clock {
@@ -323,11 +306,9 @@ impl LiveTelemetry {
     /// One finished block-row on `device`: `cells` more DP cells, `busy_ns`
     /// more kernel time. The single per-row write the workers pay.
     pub fn on_row_done(&self, device: usize, cells: u64, busy_ns: u64) {
-        if let Some(d) = self.devices.get(device) {
-            d.cells.fetch_add(cells, Ordering::Relaxed);
-            d.rows_done.fetch_add(1, Ordering::Relaxed);
-            d.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-        }
+        self.bump(device, |d| &d.cells, cells);
+        self.bump(device, |d| &d.rows_done, 1);
+        self.bump(device, |d| &d.busy_ns, busy_ns);
     }
 
     /// A gauge the device's outgoing ring keeps at its current occupancy
@@ -343,19 +324,46 @@ impl LiveTelemetry {
         }
     }
 
-    /// Attribute `ns` of wall-clock time on `device` to stall `phase`.
-    /// Workers call this at most a few times per block-row, right next to
-    /// the `on_row_done` write, so the cost stays one relaxed RMW per
-    /// phase per row.
-    pub fn on_phase_ns(&self, device: usize, phase: StallPhase, ns: u64) {
+    /// Add `n` to one of `device`'s counters (dropped for out-of-range
+    /// devices, like every other write).
+    fn bump(&self, device: usize, counter: impl Fn(&DeviceLive) -> &AtomicU64, n: u64) {
         if let Some(d) = self.devices.get(device) {
-            let ctr = match phase {
-                StallPhase::WaitInput => &d.wait_input_ns,
-                StallPhase::WaitOutput => &d.wait_output_ns,
-                StallPhase::Checkpoint => &d.checkpoint_ns,
-                StallPhase::PruneSkip => &d.prune_skip_ns,
-            };
-            ctr.fetch_add(ns, Ordering::Relaxed);
+            counter(d).fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// `ns` more nanoseconds `device` spent blocked on (or, in the DES,
+    /// idle waiting for) its predecessor's border.
+    pub fn on_wait_input_ns(&self, device: usize, ns: u64) {
+        self.bump(device, |d| &d.wait_input_ns, ns);
+    }
+
+    /// `ns` more nanoseconds `device` spent blocked pushing its border.
+    pub fn on_wait_output_ns(&self, device: usize, ns: u64) {
+        self.bump(device, |d| &d.wait_output_ns, ns);
+    }
+
+    /// `ns` more nanoseconds `device` spent depositing checkpoint waves.
+    pub fn on_checkpoint_ns(&self, device: usize, ns: u64) {
+        self.bump(device, |d| &d.checkpoint_ns, ns);
+    }
+
+    /// `device` skipped `tiles` more tiles covering `cells` DP cells, in
+    /// `ns` nanoseconds of the prune-skip fast path.
+    pub fn on_prune_skip(&self, device: usize, tiles: u64, cells: u64, ns: u64) {
+        self.pruning_active.store(true, Ordering::Relaxed);
+        self.bump(device, |d| &d.tiles_pruned, tiles);
+        self.bump(device, |d| &d.cells_skipped, cells);
+        self.bump(device, |d| &d.prune_skip_ns, ns);
+    }
+
+    /// `device`'s current pruning watermark. The gauge uses `fetch_max`,
+    /// so it stays monotone even under races between a worker and a stale
+    /// resumed attempt.
+    pub fn on_watermark(&self, device: usize, watermark: i32) {
+        self.pruning_active.store(true, Ordering::Relaxed);
+        if let Some(d) = self.devices.get(device) {
+            d.watermark.fetch_max(watermark as i64, Ordering::Relaxed);
         }
     }
 
@@ -374,25 +382,6 @@ impl LiveTelemetry {
     /// One finished pair in a batch run.
     pub fn on_pair_done(&self) {
         self.pairs_done.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-row pruning update from `device`: its current watermark and
-    /// cumulative pruned-tile / skipped-cell counts. Watermark writes use
-    /// `fetch_max`, so the published gauge is monotone even under races
-    /// between a worker and a stale resumed attempt.
-    pub fn on_prune_update(
-        &self,
-        device: usize,
-        watermark: i32,
-        tiles_pruned: u64,
-        cells_skipped: u64,
-    ) {
-        self.pruning_active.store(true, Ordering::Relaxed);
-        if let Some(d) = self.devices.get(device) {
-            d.watermark.fetch_max(watermark as i64, Ordering::Relaxed);
-            d.tiles_pruned.store(tiles_pruned, Ordering::Relaxed);
-            d.cells_skipped.store(cells_skipped, Ordering::Relaxed);
-        }
     }
 
     /// Current counters, read without blocking any worker.
@@ -674,10 +663,14 @@ mod tests {
         let s = live.snapshot();
         assert!(!s.pruning);
         assert!(!render_progress_line(&s, None).contains("pruned"));
-        live.on_prune_update(0, 5, 2, 128);
-        live.on_prune_update(1, 9, 1, 64);
-        // A stale (lower) watermark write cannot rewind the gauge.
-        live.on_prune_update(1, 4, 3, 96);
+        live.on_watermark(0, 5);
+        live.on_prune_skip(0, 2, 128, 0);
+        live.on_watermark(1, 9);
+        live.on_prune_skip(1, 1, 64, 0);
+        // A stale (lower) watermark write cannot rewind the gauge; skip
+        // counts add up.
+        live.on_watermark(1, 4);
+        live.on_prune_skip(1, 2, 32, 0);
         let s = live.snapshot();
         assert!(s.pruning);
         assert_eq!(s.devices[0].watermark, 5);
@@ -697,11 +690,11 @@ mod tests {
         live.set_now_ns(1_000);
         let line = render_progress_line(&live.snapshot(), None);
         assert!(!line.contains("st:"), "{line}");
-        live.on_phase_ns(0, StallPhase::WaitInput, 300);
-        live.on_phase_ns(0, StallPhase::WaitInput, 100);
-        live.on_phase_ns(0, StallPhase::Checkpoint, 50);
-        live.on_phase_ns(1, StallPhase::WaitOutput, 200);
-        live.on_phase_ns(9, StallPhase::PruneSkip, 999); // out of range: dropped
+        live.on_wait_input_ns(0, 300);
+        live.on_wait_input_ns(0, 100);
+        live.on_checkpoint_ns(0, 50);
+        live.on_wait_output_ns(1, 200);
+        live.on_prune_skip(9, 1, 64, 999); // out of range: dropped
         let s = live.snapshot();
         assert_eq!(s.devices[0].wait_input_ns, 400);
         assert_eq!(s.devices[0].checkpoint_ns, 50);
@@ -727,7 +720,13 @@ mod tests {
             Duration::from_millis(5),
             move |cur, _prev| seen2.lock().unwrap().push(cur.fraction_done()),
         );
-        std::thread::sleep(Duration::from_millis(15));
+        // Wait for the first sample (the sampler thread may start late on a
+        // busy host), so the run completes strictly after sampling began.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while seen.lock().unwrap().is_empty() {
+            assert!(Instant::now() < deadline, "sampler never sampled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         live.on_row_done(0, 100, 1);
         sampler.stop();
         let seen = seen.lock().unwrap();
